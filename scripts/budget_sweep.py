@@ -20,10 +20,9 @@ from asgdec import (
     UniformPolicy,
     build_map,
 )
-from asgdec.cli import DEFAULT_MAX_TOKENS
 from asgdec.decoding import COMPLETED
 from asgdec.mcts import search
-from asgdec.tasks import checker_for, generate_instances, rho_for
+from asgdec.tasks import TASKS, checker_for, generate_instances, rho_for
 
 
 def solve_rate(task, budget, count, seeds, gen_seed):
@@ -39,7 +38,7 @@ def solve_rate(task, budget, count, seeds, gen_seed):
             tree = SearchTree(grammar, token_map, ())
             cfg = SearchConfig(
                 budget=budget,
-                max_tokens=DEFAULT_MAX_TOKENS[task],
+                max_tokens=TASKS[task].max_tokens,
                 seed=seed,
             )
             policy = UniformPolicy(token_map.vocab_size)

@@ -13,13 +13,8 @@ import argparse
 import os
 import sys
 
-from asgdec.cli import (
-    DEFAULT_BUDGETS,
-    DEFAULT_MAX_TOKENS,
-    _summarize,
-    run_one,
-)
-from asgdec.tasks import TASK_IDS
+from asgdec.cli import run_batch
+from asgdec.tasks import TASK_IDS, TASKS, MetricsReport
 
 SWEEP = [
     ("base", "none"),
@@ -40,24 +35,26 @@ def main():
 
     records = []
     for task in args.tasks:
+        spec = TASKS[task]
         for algo, constraint in SWEEP:
-            if task == "json" and algo != "base":
+            if spec.rho is None and algo != "base":
                 continue  # no task reward to search or rerank against
             cfg = {
                 "task": task,
                 "algo": algo,
                 "constraint": constraint,
                 "policy": "uniform",
-                "budget": DEFAULT_BUDGETS[task],
+                "budget": spec.budget,
                 "seed": args.seed,
                 "count": args.count,
-                "max_tokens": DEFAULT_MAX_TOKENS[task],
+                "max_tokens": spec.max_tokens,
                 "endpoint": "",
                 "model": "",
             }
-            batch = [run_one(cfg, i) for i in range(args.count)]
+            batch = run_batch(cfg)
             records.extend(batch)
-            print(f"{task:12s} {algo:5s} {constraint:5s} " + _summarize(batch))
+            row = MetricsReport.of(batch).row()
+            print(f"{task:12s} {algo:5s} {constraint:5s} " + row)
             sys.stdout.flush()
 
     if args.out:

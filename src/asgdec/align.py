@@ -9,7 +9,7 @@ decoding.  Token id 0 is reserved for EOS throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from .earley import END_MARKER, extend, valid_terminals
@@ -41,7 +41,6 @@ class TokenMap:
     expansions: dict  # terminal -> tuple of token-id tuples
     canonical: dict  # terminal -> token-id tuple
     vocab_size: int
-    ambiguous_boundaries: frozenset = frozenset()
 
     def terminals(self):
         return self.expansions.keys()
@@ -64,16 +63,10 @@ def build_map(terminals, tokenizer):
         expansions[term] = tuple(sorted(segs))
         enc = tuple(tokenizer.encode(term))
         canonical[term] = enc if tuple(enc) in segs else expansions[term][0]
-    ambiguous = set()
-    for a in expansions:
-        for b in expansions:
-            if a != b and b.startswith(a):
-                ambiguous.add((a, b))
     return TokenMap(
         expansions=expansions,
         canonical=canonical,
         vocab_size=tokenizer.vocab_size,
-        ambiguous_boundaries=frozenset(ambiguous),
     )
 
 
@@ -120,10 +113,13 @@ def tau(token_map, terminal_sequence):
     return tuple(out)
 
 
-def tau_inverse(token_map, tokenizer, token_ids):
-    """Token ids back to a terminal sequence by greedy longest match."""
-    text = tokenizer.decode([t for t in token_ids if t != EOS_ID])
-    terms = sorted(token_map.terminals(), key=len, reverse=True)
+def segment(terminals, text):
+    """Greedy longest-match split of ``text`` into ``terminals``.
+
+    Returns (terminal tuple, offset of the first character no terminal
+    matches, or None when the whole text is covered).
+    """
+    terms = sorted(terminals, key=len, reverse=True)
     out = []
     i = 0
     while i < len(text):
@@ -133,10 +129,19 @@ def tau_inverse(token_map, tokenizer, token_ids):
                 i += len(t)
                 break
         else:
-            raise UncoverableTerminal(
-                f"no terminal matches decoded text at offset {i}: {text[i:]!r}"
-            )
-    return tuple(out)
+            return tuple(out), i
+    return tuple(out), None
+
+
+def tau_inverse(token_map, tokenizer, token_ids):
+    """Token ids back to a terminal sequence by greedy longest match."""
+    text = tokenizer.decode([t for t in token_ids if t != EOS_ID])
+    out, bad = segment(token_map.terminals(), text)
+    if bad is not None:
+        raise UncoverableTerminal(
+            f"no terminal matches decoded text at offset {bad}: {text[bad:]!r}"
+        )
+    return out
 
 
 def valid_tokens(state, token_map, cursor):
@@ -165,8 +170,7 @@ def apply_token(state, token_map, cursor, token_id):
 
     Returns (state, cursor, emitted terminal or None).  A token that
     completes an expansion advances the parse state immediately; when it
-    both completes one terminal and continues another, completion wins
-    (recorded as an ambiguous boundary on the map).
+    both completes one terminal and continues another, completion wins.
     """
     terms = valid_terminals(state)
     buffer = cursor.buffer + (token_id,)
@@ -191,31 +195,6 @@ def apply_token(state, token_map, cursor, token_id):
 # Tokenizers used by the benchmark harness and the test suite.
 
 
-class TerminalTokenizer:
-    """One token per grammar terminal (id 0 reserved for EOS)."""
-
-    def __init__(self, terminals):
-        self.terms = sorted(terminals)
-        self.vocab_size = len(self.terms) + 1
-        self._by_text = {t: i + 1 for i, t in enumerate(self.terms)}
-
-    def encode(self, text):
-        out = []
-        i = 0
-        while i < len(text):
-            for t in sorted(self.terms, key=len, reverse=True):
-                if text.startswith(t, i):
-                    out.append(self._by_text[t])
-                    i += len(t)
-                    break
-            else:
-                raise UncoverableTerminal(f"cannot encode {text[i:]!r}")
-        return out
-
-    def decode(self, ids):
-        return "".join(self.terms[i - 1] for i in ids if i != EOS_ID)
-
-
 class SubwordTokenizer:
     """Deterministic longest-match tokenizer over a fixed piece list.
 
@@ -230,18 +209,18 @@ class SubwordTokenizer:
             self._by_text.setdefault(p, i + 1)
 
     def encode(self, text):
-        out = []
-        i = 0
-        while i < len(text):
-            best = None
-            for p in self._by_text:
-                if text.startswith(p, i) and (best is None or len(p) > len(best)):
-                    best = p
-            if best is None:
-                raise UncoverableTerminal(f"cannot encode {text[i:]!r}")
-            out.append(self._by_text[best])
-            i += len(best)
-        return out
+        pieces, bad = segment(self._by_text, text)
+        if bad is not None:
+            raise UncoverableTerminal(f"cannot encode {text[bad:]!r}")
+        return [self._by_text[p] for p in pieces]
 
     def decode(self, ids):
         return "".join(self.pieces[i - 1] for i in ids if i != EOS_ID)
+
+
+class TerminalTokenizer(SubwordTokenizer):
+    """One token per grammar terminal, in sorted order (id 0 reserved for
+    EOS)."""
+
+    def __init__(self, terminals):
+        super().__init__(sorted(terminals))

@@ -15,64 +15,29 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import align, decoding, earley, mcts, tasks
 from .align import EOS_ID, TerminalTokenizer
-from .decoding import DecodeConfig
-from .errors import AsgError, InvalidExtension, RemoteError
-from .grammar import csg_projection, load_grammar, strip_annotations
+from .decoding import DEAD_END, DecodeConfig, DecodeResult
+from .errors import AsgError, InvalidExtension
+from .grammar import csg_projection, load_grammar, parse_grammar, strip_annotations
 from .mcts import Reward, SearchConfig, SearchTree
 from .policy import CountingPolicy, NgramPolicy, RemotePolicy, UniformPolicy
 
 ALGOS = ("base", "bon", "mcts")
 POLICIES = ("uniform", "ngram", "remote")
 
-# per-task generation budgets used when --budget is not given
-DEFAULT_BUDGETS = {
-    "anbncn": 50,
-    "ambncmdn": 50,
-    "copy": 50,
-    "graph3color": 35,
-    "sudoku3": 10,
-    "sudoku4": 265,
-    "blocksworld": 200,
-    "json": 1,
-}
 
-# generation caps sized to each task's longest sensible output
-DEFAULT_MAX_TOKENS = {
-    "anbncn": 64,
-    "ambncmdn": 64,
-    "copy": 32,
-    "sudoku3": 64,
-    "sudoku4": 96,
-    "graph3color": 160,
-    "blocksworld": 160,
-    "json": 64,
-}
-
-
-def _segment(grammar, text):
-    """Greedy longest-match split of raw text into grammar terminals;
-    returns (terminals, error offset or None)."""
-    terms = sorted(grammar.terminals, key=len, reverse=True)
-    out = []
-    i = 0
-    while i < len(text):
-        for t in terms:
-            if text.startswith(t, i):
-                out.append(t)
-                i += len(t)
-                break
-        else:
-            return out, i
-    return out, None
+def _load(path):
+    """The grammar at ``path``, or None after reporting why it failed."""
+    try:
+        return load_grammar(path)
+    except (OSError, AsgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
 
 
 def cmd_check(args):
-    try:
-        grammar = load_grammar(args.grammar)
-    except (OSError, AsgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    grammar = _load(args.grammar)
+    if grammar is None:
         return 2
-    word, bad = _segment(grammar, args.word)
+    word, bad = align.segment(grammar.terminals, args.word)
     if bad is not None:
         print(f"REJECT: unknown terminal at offset {bad}: {args.word[bad:]!r}")
         return 1
@@ -99,12 +64,10 @@ def cmd_check(args):
 
 
 def cmd_complete(args):
-    try:
-        grammar = load_grammar(args.grammar)
-    except (OSError, AsgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    grammar = _load(args.grammar)
+    if grammar is None:
         return 2
-    word, bad = _segment(grammar, args.prefix)
+    word, bad = align.segment(grammar.terminals, args.prefix)
     if bad is not None:
         print(f"error: unknown terminal at offset {bad}", file=sys.stderr)
         return 2
@@ -143,16 +106,13 @@ def _free_grammar_source(terminals):
     return f"start -> seq {{}}\nseq -> {alts} | {base}\n"
 
 
-def _build_policy(name, vocab_size, instances, tokenizer, cfg):
+def _build_policy(name, vocab_size, references, tokenizer, cfg):
     if name == "uniform":
         return UniformPolicy(vocab_size)
     if name == "ngram":
-        exemplars = []
-        for inst in instances:
-            word = tasks.reference_solution(inst)
-            exemplars.append(
-                tuple(tokenizer.encode("".join(word))) + (EOS_ID,)
-            )
+        exemplars = [
+            tuple(tokenizer.encode(text)) + (EOS_ID,) for text in references
+        ]
         return NgramPolicy(vocab_size, exemplars)
     if name == "remote":
         return RemotePolicy(cfg["endpoint"], cfg["model"], vocab_size)
@@ -165,23 +125,34 @@ def _projected(grammar, level, terminals):
     if level == "csg":
         return csg_projection(grammar)
     if level == "none":
-        from .grammar import parse_grammar
-
         return parse_grammar(_free_grammar_source(terminals))
     return grammar
 
 
-def run_one(cfg, index):
-    """Execute one instance of a batch config; returns the result record."""
+def run_batch(cfg, workers=1):
+    """Result records for every instance of one batch config, in index
+    order.  The instances, and the reference words the n-gram policy is
+    fitted on, are generated once per batch."""
     instances = tasks.generate_instances(cfg["task"], cfg["count"], cfg["seed"])
-    inst = instances[index]
+    references = None
+    if cfg["policy"] == "ngram":
+        references = ["".join(tasks.reference_solution(i)) for i in instances]
+    n = len(instances)
+    args = ([cfg] * n, range(n), instances, [references] * n)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_instance, *args))
+    return list(map(run_instance, *args))
+
+
+def run_instance(cfg, index, inst, references):
+    """Execute one instance of a batch config; returns the result record.
+    An engine error is recorded as outcome "error" and does not abort the
+    batch."""
     grammar = inst.grammar()
     terminals = sorted(grammar.terminals)
     tokenizer = TerminalTokenizer(terminals)
     token_map = align.build_map(terminals, tokenizer)
-    policy = _build_policy(
-        cfg["policy"], tokenizer.vocab_size, instances, tokenizer, cfg
-    )
     rho = tasks.rho_for(inst)
     seed = cfg["seed"] * 100003 + index
     record = {
@@ -201,6 +172,9 @@ def run_one(cfg, index):
         seed=seed,
     )
     try:
+        policy = _build_policy(
+            cfg["policy"], tokenizer.vocab_size, references, tokenizer, cfg
+        )
         if cfg["algo"] == "base":
             result = decoding.generate(
                 g_run, token_map, policy, (), dcfg, session=earley.Session()
@@ -234,103 +208,59 @@ def run_one(cfg, index):
                 tree, counted, Reward(rho or (lambda w: 0.0)), scfg
             )
             if result is None:
-                record.update(
-                    outcome="dead_end", rho=None, reward=None, tokens=0,
-                    t_constraint_ms=0.0, output="",
-                )
-                _attach_validity(record, inst, grammar, None)
-                return record
-    except RemoteError as exc:
+                result = DecodeResult((), "", None, DEAD_END, 0)
+        word = result.terminals
+        rho_val = float(rho(word)) if (rho is not None and word is not None) else None
+        record.update(
+            outcome=result.outcome,
+            rho=rho_val,
+            reward=result.reward,
+            tokens=result.tokens_generated,
+            t_constraint_ms=result.constraint_seconds * 1000.0,
+            output="".join(word) if word else "",
+        )
+        record.update(tasks.validity(grammar, word))
+    except AsgError as exc:
         record.update(
             outcome="error", rho=None, reward=None, tokens=0,
-            t_constraint_ms=0.0, output=str(exc),
+            t_constraint_ms=0.0, output=f"{type(exc).__name__}: {exc}",
         )
-        _attach_validity(record, inst, grammar, None)
-        return record
-    word = result.terminals
-    rho_val = float(rho(word)) if (rho is not None and word is not None) else None
-    record.update(
-        outcome=result.outcome,
-        rho=rho_val,
-        reward=result.reward,
-        tokens=result.tokens_generated,
-        t_constraint_ms=result.constraint_seconds * 1000.0,
-        output="".join(word) if word else "",
-    )
-    _attach_validity(record, inst, grammar, word)
+        record.update(tasks.validity(grammar, None))
     return record
 
 
-def _attach_validity(record, inst, grammar, word):
-    levels = {"v_cfg": False, "v_csg": False, "v_sem": False}
-    if word is not None:
-        w = tuple(word)
-        levels["v_cfg"] = earley.accepts(strip_annotations(grammar), w)
-        levels["v_csg"] = earley.accepts(csg_projection(grammar), w)
-        levels["v_sem"] = earley.accepts(grammar, w)
-    record.update(levels)
-
-
-def _summarize(records):
-    n = len(records)
-    if not n:
-        return "n=0 (no results)"
-    acc = sum(
-        1
-        for r in records
-        if r["outcome"] == "completed" and r.get("rho") == 0
-    )
-    cols = {
-        "A": acc / n,
-        "V_CFG": sum(r.get("v_cfg", False) for r in records) / n,
-        "V_CSG": sum(r.get("v_csg", False) for r in records) / n,
-        "V_SEM": sum(r.get("v_sem", False) for r in records) / n,
-    }
-    toks = sum(r["tokens"] for r in records) / n
-    tc = sum(r["t_constraint_ms"] for r in records) / n
-    rates = "  ".join(f"{k}={v:.1%}" for k, v in cols.items())
-    return f"n={n}  {rates}  tokens={toks:.1f}  T_C={tc:.1f}ms"
-
-
-def _run_worker(payload):
-    cfg, index = payload
-    return run_one(cfg, index)
-
-
 def cmd_run(args):
-    if args.task not in tasks.TASK_IDS:
+    spec = tasks.TASKS.get(args.task)
+    if spec is None:
         print(f"error: unknown task {args.task!r}", file=sys.stderr)
         return 2
-    if args.task == "json" and args.algo != "base":
-        print("error: the json task has no reward; use --algo base", file=sys.stderr)
+    if spec.rho is None and args.algo != "base":
+        print(
+            f"error: the {args.task} task has no reward; use --algo base",
+            file=sys.stderr,
+        )
         return 2
     if args.algo == "mcts" and args.constraint == "none":
         print("note: unconstrained search baseline (flagged)", file=sys.stderr)
-    budget = args.budget or DEFAULT_BUDGETS[args.task]
     cfg = {
         "task": args.task,
         "algo": args.algo,
         "constraint": args.constraint,
         "policy": args.policy,
-        "budget": budget,
+        "budget": args.budget or spec.budget,
         "seed": args.seed,
         "count": args.count,
-        "max_tokens": args.max_tokens or DEFAULT_MAX_TOKENS[args.task],
+        "max_tokens": args.max_tokens or spec.max_tokens,
         "endpoint": args.endpoint
         or os.environ.get("ASGDEC_ENDPOINT", "http://127.0.0.1:8763"),
         "model": args.model,
     }
-    payloads = [(cfg, i) for i in range(args.count)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(_run_worker, payloads))
-    else:
-        records = [run_one(cfg, i) for i in range(args.count)]
+    records = run_batch(cfg, args.workers)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             for r in records:
                 fh.write(json.dumps(r, sort_keys=True) + "\n")
-    print(_summarize(records))
+    print(tasks.MetricsReport.of(records).row())
     return 0
 
 
@@ -353,7 +283,7 @@ def cmd_report(args):
     for key in sorted(groups):
         task, algo, constraint, policy = key
         print(f"{task:12s} {algo:5s} {constraint:5s} {policy:8s} "
-              + _summarize(groups[key]))
+              + tasks.MetricsReport.of(groups[key]).row())
     return 0
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import align, earley
 from .align import EOS_ID, AlignCursor
-from .errors import DeadEnd, UncoverableTerminal
 from .policy import PolicyContext
 
 CONSTRAINT_LEVELS = ("none", "cfg", "csg", "sem")
@@ -93,16 +92,6 @@ def choose_token(dist, valid_ids, cfg, rng):
     return int(rng.choice(ids, p=np.exp(lp)))
 
 
-def constrained_step(state, cursor, token_map, policy, ctx, cfg, rng):
-    """Choose the next token under the active constraint; DeadEnd when no
-    token is admissible."""
-    valid = align.valid_tokens(state, token_map, cursor)
-    if not valid:
-        raise DeadEnd(f"no valid tokens after {len(ctx.generated)} tokens")
-    dist = policy.next_distribution(ctx)
-    return choose_token(dist, valid, cfg, rng)
-
-
 def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None):
     """One full generation run.
 
@@ -127,7 +116,9 @@ def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None
                 outcome = COMPLETED
                 break
         text = _safe_decode(token_map, tokens)
-        terminals = _safe_terminals(token_map, text)
+        terminals, bad = align.segment(token_map.terminals(), text)
+        if bad is not None:
+            terminals = None
         return DecodeResult(
             tuple(tokens), text, terminals, outcome, len(tokens),
             constraint_seconds=t_constraint,
@@ -165,44 +156,14 @@ def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None
 
 
 def _safe_decode(token_map, tokens):
-    # unconstrained output may not decode through the terminal alphabet
+    # unconstrained output decodes only when each token spells a terminal
+    spelled = {
+        e[0]: t for t, exps in token_map.expansions.items() for e in exps if len(e) == 1
+    }
     try:
-        from .align import tau_inverse  # noqa: F401
-
-        return "".join(
-            _terminal_text(token_map, t) for t in tokens if t != EOS_ID
-        )
+        return "".join(spelled[t] for t in tokens if t != EOS_ID)
     except KeyError:
         return ""
-
-
-def _terminal_text(token_map, token_id):
-    for term, enc in token_map.canonical.items():
-        if enc == (token_id,):
-            return term
-    for term, exps in token_map.expansions.items():
-        for exp in exps:
-            if exp == (token_id,):
-                return term
-    raise KeyError(token_id)
-
-
-def _safe_terminals(token_map, text):
-    try:
-        terms = sorted(token_map.terminals(), key=len, reverse=True)
-        out = []
-        i = 0
-        while i < len(text):
-            for t in terms:
-                if text.startswith(t, i):
-                    out.append(t)
-                    i += len(t)
-                    break
-            else:
-                return None
-        return tuple(out)
-    except Exception:
-        return None
 
 
 def best_of_n(grammar, token_map, policy, prompt_ids, cfg, reward_fn, accept_fn):

@@ -54,16 +54,39 @@ class Item:
 
 
 class Session:
-    """Per-decode shared caches and instrumentation counters."""
+    """Per-decode shared caches and instrumentation counters.
+
+    One Session may serve several grammars, e.g. a grammar and its
+    projections, which share annotation fragments but not backgrounds, so
+    the memo key names both the fragment and the background index.  Keys
+    hold ``id``s; every keyed object is kept alive in ``_pinned`` so that
+    no id is reused while the memo lives.
+    """
 
     def __init__(self):
         self.eval_memo = {}
         self.node_evals = 0
         self.eval_cache_hits = 0
         self.violation_log = None  # list of (prod_id, violated ids) when set
+        self._backgrounds = {}  # id(background fragment) -> indexed model
+        self._pinned = {}  # id -> object named by an id in a memo key
+
+    def background_index(self, fragment):
+        """Indexed model of a background fragment, built once per Session
+        so that memo keys naming it hold across decodes."""
+        index = self._backgrounds.get(id(fragment))
+        if index is None:
+            result = evaluate_node(fragment, [], {})
+            if result.status == UNSAT:
+                raise BackgroundUnsat(
+                    f"background constraint {result.violated} is violated"
+                )
+            index = self._backgrounds[id(fragment)] = index_model(result.model)
+            self._pinned[id(fragment)] = fragment
+        return index
 
     def evaluate(self, fragment, models, arity, background):
-        key = (id(fragment), models, arity)
+        key = (id(fragment), id(background), models, arity)
         hit = self.eval_memo.get(key)
         if hit is not None:
             self.eval_cache_hits += 1
@@ -72,6 +95,8 @@ class Session:
         self.node_evals += 1
         result = evaluate_node(fragment, padded, background)
         self.eval_memo[key] = result
+        self._pinned[id(fragment)] = fragment
+        self._pinned[id(background)] = background
         return result
 
 
@@ -118,12 +143,7 @@ class ParseState:
 
 def init(grammar, session=None, forest_cap=DEFAULT_FOREST_CAP):
     session = session or Session()
-    bg_result = evaluate_node(grammar.background, [], {})
-    if bg_result.status == UNSAT:
-        raise BackgroundUnsat(
-            f"background constraint {bg_result.violated} is violated"
-        )
-    background_index = index_model(bg_result.model)
+    background_index = session.background_index(grammar.background)
     items = set()
     _predict_start(grammar, items, session, background_index)
     _close_set(grammar, (), items, 0, session, background_index, forest_cap)

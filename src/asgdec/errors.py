@@ -60,10 +60,6 @@ class ForestOverflow(AsgError):
     """Live derivation count exceeded the ambiguity cap."""
 
 
-class DeadEnd(AsgError):
-    """Constrained decoding reached a prefix with no valid tokens."""
-
-
 class UncoverableTerminal(AsgError):
     """The vocabulary cannot spell a grammar terminal."""
 

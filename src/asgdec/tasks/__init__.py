@@ -1,186 +1,68 @@
-"""Benchmark task registry: instance generation, distance functions, and
-solution checkers keyed by task id."""
+"""Benchmark task registry: one ``TaskSpec`` per task, keyed by task id.
+
+Each task module defines the specs of its tasks in ``SPECS``; the
+functions below read them.
+"""
 
 from __future__ import annotations
 
+from ..earley import accepts
+from ..grammar import strip_annotations
 from . import blocks, jsontask, puzzles, sgs
 from .base import (
-    TASK_IDS,
     MetricsReport,
     TaskInstance,
+    TaskSpec,
+    is_solved,
     load_instance,
     save_instances,
     score_run,
+    validity,
 )
 
-_GENERATORS = {
-    "anbncn": sgs.generate_anbncn,
-    "ambncmdn": sgs.generate_ambncmdn,
-    "copy": sgs.generate_copy,
-    "sudoku3": puzzles.generate_sudoku3,
-    "sudoku4": puzzles.generate_sudoku4,
-    "graph3color": puzzles.generate_graph3color,
-    "blocksworld": blocks.generate_blocksworld,
-    "json": jsontask.generate_json,
-}
+TASKS = {spec.name: spec for m in (sgs, puzzles, blocks, jsontask) for spec in m.SPECS}
+TASK_IDS = tuple(TASKS)
 
 
 def generate_instances(task, count, seed=0):
-    if task not in _GENERATORS:
+    if task not in TASKS:
         raise KeyError(f"unknown task {task!r}; choose from {TASK_IDS}")
-    return _GENERATORS[task](count, seed=seed)
+    return TASKS[task].generate(count, seed=seed)
 
 
 def rho_for(instance):
     """Distance function for one instance, or None for reward-free tasks."""
-    task, p = instance.task, instance.params
-    if task == "anbncn":
-        return sgs.anbncn_rho(p["n"])
-    if task == "ambncmdn":
-        return sgs.ambncmdn_rho(p["m"], p["n"])
-    if task == "copy":
-        return sgs.copy_rho(p)
-    if task in ("sudoku3", "sudoku4"):
-        return puzzles.sudoku_rho(p)
-    if task == "graph3color":
-        return puzzles.coloring_rho(p)
-    if task == "blocksworld":
-        return blocks.blocks_rho(p)
-    if task == "json":
-        return None
-    raise KeyError(task)
+    rho = TASKS[instance.task].rho
+    return None if rho is None else rho(instance.params)
 
 
 def checker_for(instance):
-    """Boolean solved-test for one instance (grammar acceptance for tasks
-    without task-level semantics)."""
-    task, p = instance.task, instance.params
-    if task == "anbncn":
-        return lambda word: sgs.anbncn_check(p["n"], word)
-    if task == "ambncmdn":
-        return lambda word: sgs.ambncmdn_check(p, word)
-    if task == "copy":
-        return lambda word: sgs.copy_check(p, word)
-    if task in ("sudoku3", "sudoku4"):
-        return lambda word: puzzles.sudoku_check(p, word)
-    if task == "graph3color":
-        return lambda word: puzzles.coloring_check(p, word)
-    if task == "blocksworld":
-        return lambda word: blocks.blocks_check(p, word)
-    if task == "json":
-        grammar = instance.grammar()
-        from ..earley import accepts
-
-        return lambda word: accepts(grammar, tuple(word))
-    raise KeyError(task)
-
-
-def _copy_half(p):
-    if p["kind"] == "count_a":
-        return "a" * p["target"]
-    if p["kind"] == "count_b":
-        return "b" * p["target"]
-    side = 1
-    while side * side < p["threshold"]:
-        side += 1
-    return "a" * side + "b" * side
-
-
-def _solve_sudoku3(givens):
-    import itertools
-
-    perms = list(itertools.permutations((1, 2, 3)))
-    for r1 in perms:
-        for r2 in perms:
-            for r3 in perms:
-                rows = (r1, r2, r3)
-                if any(len({rows[r][c] for r in range(3)}) < 3 for c in range(3)):
-                    continue
-                if all(
-                    rows[(int(k) - 1) // 3][(int(k) - 1) % 3] == v
-                    for k, v in givens.items()
-                ):
-                    return [list(r) for r in rows]
-    return None
-
-
-def _solve_coloring(p):
-    import itertools
-
-    edges = [tuple(e) for e in p["edges"]]
-    for assign in itertools.product(puzzles.COLORS, repeat=p["nodes"]):
-        if all(assign[i - 1] != assign[j - 1] for i, j in edges):
-            return assign
-    return None
+    """Boolean solved-test for one instance (see ``is_solved``)."""
+    g_cfg = strip_annotations(instance.grammar())
+    rho = rho_for(instance)
+    return lambda word: is_solved(
+        accepts(g_cfg, tuple(word)), None if rho is None else rho(word)
+    )
 
 
 def reference_solution(instance):
     """One known-correct word for the instance, as a terminal tuple."""
-    task, p = instance.task, instance.params
-    if task == "anbncn":
-        n = p["n"]
-        return tuple("a" * n + "b" * n + "c" * n)
-    if task == "ambncmdn":
-        m, n = p["m"], p["n"]
-        return tuple("a" * m + "b" * n + "c" * m + "d" * n)
-    if task == "copy":
-        w = _copy_half(p)
-        return tuple(w + w)
-    if task == "sudoku3":
-        board = _solve_sudoku3(p["givens"])
-        return tuple(str(board).replace(" ", "").replace("'", ""))
-    if task == "sudoku4":
-        board = [[0] * 4 for _ in range(4)]
-        for k, v in p["givens"].items():
-            k = int(k)
-            board[(k - 1) // 4][(k - 1) % 4] = v
-        solved = puzzles._solve_sudoku4(board)
-        return tuple(str(solved).replace(" ", ""))
-    if task == "graph3color":
-        assign = _solve_coloring(p)
-        out = []
-        for idx, (i, j) in enumerate(tuple(e) for e in p["edges"]):
-            if idx:
-                out.append(",")
-            out += ["(", str(i), ":", assign[i - 1], ",", str(j), ":", assign[j - 1], ")"]
-        return tuple(out)
-    if task == "blocksworld":
-        init, goal = blocks._params_sets(instance.params)
-        plan = blocks.bfs_plan(init, goal)
-        out = []
-        for a in plan:
-            out += [a[0] + " ", a[1]]
-            if len(a) == 3:
-                out += [" ", a[2]]
-            out.append(", ")
-        out.append("end")
-        return tuple(out)
-    if task == "json":
-        text = jsontask._word(p["firstName"], p["lastName"], p["age"])
-        out = []
-        i = 0
-        keys = ('"firstName"', '"lastName"', '"age"')
-        while i < len(text):
-            for k in keys:
-                if text.startswith(k, i):
-                    out.append(k)
-                    i += len(k)
-                    break
-            else:
-                out.append(text[i])
-                i += 1
-        return tuple(out)
-    raise KeyError(task)
+    return TASKS[instance.task].reference(instance)
 
 
 __all__ = [
+    "TASKS",
     "TASK_IDS",
     "MetricsReport",
     "TaskInstance",
+    "TaskSpec",
     "checker_for",
     "generate_instances",
+    "is_solved",
     "load_instance",
+    "reference_solution",
     "rho_for",
     "save_instances",
     "score_run",
+    "validity",
 ]

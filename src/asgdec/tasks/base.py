@@ -3,23 +3,13 @@
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from ..grammar import csg_projection, parse_grammar, strip_annotations
+from ..decoding import COMPLETED
 from ..earley import accepts
-
-TASK_IDS = (
-    "anbncn",
-    "ambncmdn",
-    "copy",
-    "sudoku3",
-    "sudoku4",
-    "graph3color",
-    "blocksworld",
-    "json",
-)
+from ..grammar import csg_projection, parse_grammar, strip_annotations
 
 
 @dataclass(frozen=True)
@@ -45,6 +35,20 @@ class TaskInstance:
             indent=2,
             sort_keys=True,
         )
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """Everything the harness knows about one benchmark task.  Each task
+    module lists its specs in ``SPECS``; adding a task means one spec next
+    to its code."""
+
+    name: str
+    generate: Callable  # (count, seed=...) -> list of TaskInstance
+    rho: Optional[Callable]  # params -> distance fn; None without a reward
+    reference: Callable  # TaskInstance -> one solved word (terminal tuple)
+    budget: int  # default generation budget of ``asgdec run``
+    max_tokens: int  # default generation cap, sized to the longest answer
 
 
 def save_instances(instances, directory):
@@ -80,6 +84,21 @@ def load_instance(path):
 # Metrics.
 
 
+def validity(grammar, word):
+    """Membership of ``word`` at the three levels; no word (None) is in none."""
+    levels = (strip_annotations(grammar), csg_projection(grammar), grammar)
+    return {
+        key: word is not None and accepts(g, tuple(word))
+        for key, g in zip(("v_cfg", "v_csg", "v_sem"), levels)
+    }
+
+
+def is_solved(v_cfg, rho):
+    """The one definition of a solved word: it is in the cfg language and,
+    where the task has a distance, ``rho`` (its value) is 0."""
+    return bool(v_cfg) and (rho is None or rho == 0)
+
+
 @dataclass
 class MetricsReport:
     n: int
@@ -88,8 +107,34 @@ class MetricsReport:
     v_csg: float
     v_sem: float
     mean_tokens: float
-    mean_t_constraint: float
+    mean_t_constraint_ms: float
     empty: bool = False
+
+    @classmethod
+    def of(cls, records):
+        """Aggregate run records: ``outcome`` plus optional ``rho``,
+        ``tokens``, ``t_constraint_ms`` and the ``v_*`` flags.  A record is
+        accurate when it completed with a solved word."""
+        n = len(records)
+        if not n:
+            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, empty=True)
+
+        def mean(values):
+            return sum(values) / n
+
+        return cls(
+            n=n,
+            accuracy=mean(
+                r.get("outcome") == COMPLETED
+                and is_solved(r.get("v_cfg"), r.get("rho"))
+                for r in records
+            ),
+            v_cfg=mean(r.get("v_cfg", False) for r in records),
+            v_csg=mean(r.get("v_csg", False) for r in records),
+            v_sem=mean(r.get("v_sem", False) for r in records),
+            mean_tokens=mean(r.get("tokens", 0) for r in records),
+            mean_t_constraint_ms=mean(r.get("t_constraint_ms", 0.0) for r in records),
+        )
 
     def row(self):
         if self.empty:
@@ -97,48 +142,22 @@ class MetricsReport:
         return (
             f"n={self.n}  A={self.accuracy:.1%}  V_CFG={self.v_cfg:.1%}  "
             f"V_CSG={self.v_csg:.1%}  V_SEM={self.v_sem:.1%}  "
-            f"tokens={self.mean_tokens:.1f}  T_C={self.mean_t_constraint * 1000:.1f}ms"
+            f"tokens={self.mean_tokens:.1f}  T_C={self.mean_t_constraint_ms:.1f}ms"
         )
 
 
 def score_run(grammar, results, rho_fn=None):
     """Aggregate validity / accuracy rates for one batch.
 
-    ``results`` carry (terminals, outcome, rho, tokens, constraint time);
-    validity levels use the stripped, annotation-only, and full grammars.
+    ``results`` carry terminals, outcome, tokens, constraint time and
+    optionally rho; validity and a missing rho are filled in as
+    ``asgdec run`` fills its records.
     """
-    if not results:
-        return MetricsReport(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, empty=True)
-    g_cfg = strip_annotations(grammar)
-    g_csg = csg_projection(grammar)
-    n = len(results)
-    acc = v_cfg = v_csg = v_sem = 0
-    tokens = 0.0
-    t_constraint = 0.0
+    records = []
     for r in results:
         word = r.get("terminals")
-        tokens += r.get("tokens", 0)
-        t_constraint += r.get("t_constraint_ms", 0.0) / 1000.0
-        completed = r.get("outcome") == "completed"
-        if word is not None:
-            word = tuple(word)
-            if accepts(g_cfg, word):
-                v_cfg += 1
-            if accepts(g_csg, word):
-                v_csg += 1
-            if accepts(grammar, word):
-                v_sem += 1
         rho = r.get("rho")
         if rho is None and rho_fn is not None and word is not None:
             rho = rho_fn(word)
-        if completed and rho is not None and rho == 0:
-            acc += 1
-    return MetricsReport(
-        n=n,
-        accuracy=acc / n,
-        v_cfg=v_cfg / n,
-        v_csg=v_csg / n,
-        v_sem=v_sem / n,
-        mean_tokens=tokens / n,
-        mean_t_constraint=t_constraint / n,
-    )
+        records.append({**r, "rho": rho, **validity(grammar, word)})
+    return MetricsReport.of(records)

@@ -16,7 +16,8 @@ import re
 from collections import deque
 
 from ..errors import UnreachableGoal
-from .base import TaskInstance
+from ..align import segment
+from .base import TaskInstance, TaskSpec
 
 BLOCKS = ("red", "green", "blue")
 
@@ -376,3 +377,14 @@ def blocks_rho(params, alpha=0.01, unreachable_penalty=100):
         return max(h, 1) * 1.0 + alpha * used if h == 0 else h + alpha * used
 
     return rho
+
+
+def _reference(inst):
+    text = "".join(" ".join(a) + ", " for a in bfs_plan(*_params_sets(inst.params)))
+    return segment(inst.grammar().terminals, text + "end")[0]
+
+
+SPECS = (
+    TaskSpec("blocksworld", generate_blocksworld, blocks_rho, _reference,
+             budget=200, max_tokens=160),
+)

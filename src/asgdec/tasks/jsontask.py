@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 
-from .base import TaskInstance
+from ..align import segment
+from .base import TaskInstance, TaskSpec
 
 VALUE_CHARS = ("J", "o", "h", "n", "D", "K", "u", "w", "y", "z")
 
@@ -71,3 +72,13 @@ def generate_json(count, seed=0):
             )
         )
     return out
+
+
+def _reference(inst):
+    p = inst.params
+    text = _word(p["firstName"], p["lastName"], p["age"])
+    return segment(inst.grammar().terminals, text)[0]
+
+
+# no rho: the schema grammar is the whole task, so a run has no reward
+SPECS = (TaskSpec("json", generate_json, None, _reference, budget=1, max_tokens=64),)

@@ -9,10 +9,12 @@ so every conflicting choice is pruned the moment its token is scanned.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 
-from .base import TaskInstance
+from ..align import segment
+from .base import TaskInstance, TaskSpec
 
 # ---------------------------------------------------------------------------
 # Sudoku 3x3: one wide production, one nonterminal per cell.  A 3x3 board
@@ -73,36 +75,42 @@ def _random_latin3(rng):
     return [[sym[rows[r][c] - 1] for c in cols] for r in range(3)]
 
 
+def _sudoku_instance(i, board, holes, rng, grammar):
+    """Instance ``i``: the solved ``board`` with ``holes`` cells, drawn
+    from ``rng``, hidden; ``grammar`` builds the source from the givens."""
+    size = len(board)
+    cells = list(range(size * size))
+    rng.shuffle(cells)
+    hidden = set(cells[:holes])
+    givens = {
+        k + 1: board[k // size][k % size]
+        for k in range(size * size)
+        if k not in hidden
+    }
+    shown = [
+        [board[r][c] if r * size + c not in hidden else "*" for c in range(size)]
+        for r in range(size)
+    ]
+    prompt = (
+        "Generate a valid solution to the Sudoku board "
+        + str(shown).replace("'", "")
+        + " as a nested list, filling the * holes."
+    )
+    return TaskInstance(
+        task=f"sudoku{size}",
+        instance_id=f"sudoku{size}-{i:03d}",
+        prompt=prompt,
+        params={"size": size, "givens": {str(k): v for k, v in givens.items()}},
+        grammar_source=grammar(givens),
+    )
+
+
 def generate_sudoku3(count, seed=0, holes=4):
     rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        board = _random_latin3(rng)
-        cells = list(range(9))
-        rng.shuffle(cells)
-        hidden = set(cells[:holes])
-        givens = {
-            k + 1: board[k // 3][k % 3] for k in range(9) if k not in hidden
-        }
-        shown = [
-            [board[r][c] if r * 3 + c not in hidden else "*" for c in range(3)]
-            for r in range(3)
-        ]
-        prompt = (
-            "Generate a valid solution to the Sudoku board "
-            + str(shown).replace("'", "")
-            + " as a nested list, filling the * holes."
-        )
-        out.append(
-            TaskInstance(
-                task="sudoku3",
-                instance_id=f"sudoku3-{i:03d}",
-                prompt=prompt,
-                params={"size": 3, "givens": {str(k): v for k, v in givens.items()}},
-                grammar_source=_sudoku3_grammar(givens),
-            )
-        )
-    return out
+    return [
+        _sudoku_instance(i, _random_latin3(rng), holes, rng, _sudoku3_grammar)
+        for i in range(count)
+    ]
 
 
 def parse_board(text, size):
@@ -193,62 +201,59 @@ def _sudoku4_grammar(givens):
     return "\n".join(lines) + "\n"
 
 
-def _solve_sudoku4(board, rng=None):
+def _solve_sudoku(board, rng=None):
+    """Fill the zeros of a size x size ``board`` in place by row-major
+    backtracking, trying digits in ascending order or, given ``rng``, in
+    shuffled order; None when no filling exists.  Rows and columns hold
+    distinct digits, and so do the blocks of a square size."""
+    size = len(board)
     spot = next(
-        ((r, c) for r in range(4) for c in range(4) if board[r][c] == 0), None
+        ((r, c) for r in range(size) for c in range(size) if board[r][c] == 0),
+        None,
     )
     if spot is None:
         return board
     r, c = spot
-    digits = [1, 2, 3, 4]
+    digits = list(range(1, size + 1))
     if rng:
         rng.shuffle(digits)
+    side = math.isqrt(size)
+    has_blocks = side * side == size
+    br, bc = r // side * side, c // side * side
     for d in digits:
-        ok = all(board[r][j] != d for j in range(4)) and all(
-            board[i][c] != d for i in range(4)
+        ok = all(board[r][j] != d for j in range(size)) and all(
+            board[i][c] != d for i in range(size)
         )
-        br, bc = r // 2 * 2, c // 2 * 2
-        ok = ok and all(
-            board[br + i][bc + j] != d for i in range(2) for j in range(2)
-        )
+        if has_blocks:
+            ok = ok and all(
+                board[br + i][bc + j] != d for i in range(side) for j in range(side)
+            )
         if ok:
             board[r][c] = d
-            if _solve_sudoku4(board, rng) is not None:
+            if _solve_sudoku(board, rng) is not None:
                 return board
             board[r][c] = 0
     return None
 
 
+def _sudoku_reference(inst):
+    size = inst.params["size"]
+    board = [[0] * size for _ in range(size)]
+    for k, v in inst.params["givens"].items():
+        k = int(k) - 1
+        board[k // size][k % size] = v
+    return tuple(str(_solve_sudoku(board)).replace(" ", ""))
+
+
 def generate_sudoku4(count, seed=0, holes=6):
     rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        board = _solve_sudoku4([[0] * 4 for _ in range(4)], rng)
-        cells = list(range(16))
-        rng.shuffle(cells)
-        hidden = set(cells[:holes])
-        givens = {
-            k + 1: board[k // 4][k % 4] for k in range(16) if k not in hidden
-        }
-        shown = [
-            [board[r][c] if r * 4 + c not in hidden else "*" for c in range(4)]
-            for r in range(4)
-        ]
-        prompt = (
-            "Generate a valid solution to the Sudoku board "
-            + str(shown).replace("'", "")
-            + " as a nested list, filling the * holes."
+    return [
+        _sudoku_instance(
+            i, _solve_sudoku([[0] * 4 for _ in range(4)], rng), holes, rng,
+            _sudoku4_grammar,
         )
-        out.append(
-            TaskInstance(
-                task="sudoku4",
-                instance_id=f"sudoku4-{i:03d}",
-                prompt=prompt,
-                params={"size": 4, "givens": {str(k): v for k, v in givens.items()}},
-                grammar_source=_sudoku4_grammar(givens),
-            )
-        )
-    return out
+        for i in range(count)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +296,12 @@ def _coloring_grammar(edges):
     return "\n".join(lines) + "\n"
 
 
-def _three_colorable(n_nodes, edges):
-    for assign in itertools.product(range(3), repeat=n_nodes):
+def _solve_coloring(n_nodes, edges):
+    """First proper coloring in product order, or None."""
+    for assign in itertools.product(COLORS, repeat=n_nodes):
         if all(assign[i - 1] != assign[j - 1] for i, j in edges):
-            return True
-    return False
+            return assign
+    return None
 
 
 def generate_graph3color(count, seed=0):
@@ -307,7 +313,7 @@ def generate_graph3color(count, seed=0):
         possible = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
         m = rng.randint(3, min(10, len(possible)))
         edges = sorted(rng.sample(possible, m))
-        if not _three_colorable(n, edges):
+        if _solve_coloring(n, edges) is None:
             continue
         prompt = (
             f"Assign one of three colors (red, green, blue) to each node of "
@@ -369,3 +375,20 @@ def coloring_check(params, word):
         if assign.setdefault(i, ci) != ci or assign.setdefault(j, cj) != cj:
             return False
     return all(assign[i] != assign[j] for i, j in edges)
+
+
+def _coloring_reference(inst):
+    edges = [tuple(e) for e in inst.params["edges"]]
+    c = _solve_coloring(inst.params["nodes"], edges)
+    text = ",".join(f"({i}:{c[i - 1]},{j}:{c[j - 1]})" for i, j in edges)
+    return segment(inst.grammar().terminals, text)[0]
+
+
+SPECS = (
+    TaskSpec("sudoku3", generate_sudoku3, sudoku_rho, _sudoku_reference,
+             budget=10, max_tokens=64),
+    TaskSpec("sudoku4", generate_sudoku4, sudoku_rho, _sudoku_reference,
+             budget=265, max_tokens=96),
+    TaskSpec("graph3color", generate_graph3color, coloring_rho,
+             _coloring_reference, budget=35, max_tokens=160),
+)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .base import TaskInstance
+from .base import TaskInstance, TaskSpec
 
 ANBNCN_GRAMMAR = """\
 % L = { a^n b^n c^n : n >= 1 }, generated on a single counting spine.
@@ -289,3 +289,37 @@ def generate_copy(count, seed=0, max_target=None):
             )
         )
     return out
+
+
+def _copy_half(p):
+    if p["kind"] == "count_a":
+        return "a" * p["target"]
+    if p["kind"] == "count_b":
+        return "b" * p["target"]
+    side = 1
+    while side * side < p["threshold"]:
+        side += 1
+    return "a" * side + "b" * side
+
+
+def _copy_reference(inst):
+    return tuple(_copy_half(inst.params) * 2)
+
+
+def _anbncn_reference(inst):
+    return tuple("".join(c * inst.params["n"] for c in "abc"))
+
+
+def _ambncmdn_reference(inst):
+    m, n = inst.params["m"], inst.params["n"]
+    return tuple("a" * m + "b" * n + "c" * m + "d" * n)
+
+
+SPECS = (
+    TaskSpec("anbncn", generate_anbncn, lambda p: anbncn_rho(p["n"]),
+             _anbncn_reference, budget=50, max_tokens=64),
+    TaskSpec("ambncmdn", generate_ambncmdn, lambda p: ambncmdn_rho(p["m"], p["n"]),
+             _ambncmdn_reference, budget=50, max_tokens=64),
+    TaskSpec("copy", generate_copy, copy_rho, _copy_reference,
+             budget=50, max_tokens=32),
+)

@@ -50,12 +50,6 @@ def test_build_map_rejects_unspellable_terminal():
         build_map(["ab"], tok)
 
 
-def test_ambiguous_boundaries_flag_prefix_pairs():
-    tok = SubwordTokenizer(["a", "b"])
-    m = build_map(["a", "ab"], tok)
-    assert ("a", "ab") in m.ambiguous_boundaries
-
-
 def test_tau_concatenates_canonical_encodings():
     tok = SubwordTokenizer(["a", "b", "ab"])
     m = build_map(["a", "b", "ab"], tok)

@@ -108,3 +108,29 @@ def test_report_groups_by_configuration(tmp_path, capsys):
     assert main(["report", str(out)]) == 0
     text = capsys.readouterr().out
     assert "anbncn" in text and "n=2" in text
+
+
+def test_run_records_engine_error_and_finishes_batch(tmp_path, monkeypatch):
+    from asgdec import decoding
+    from asgdec.errors import LogicEvalError
+
+    real = decoding.generate
+
+    def flaky(grammar, token_map, policy, prompt_ids, cfg, **kwargs):
+        if cfg.seed == 1:  # instance index 1 of a seed-0 batch
+            raise LogicEvalError("injected")
+        return real(grammar, token_map, policy, prompt_ids, cfg, **kwargs)
+
+    monkeypatch.setattr(decoding, "generate", flaky)
+    out = tmp_path / "res.jsonl"
+    code = main(
+        [
+            "run", "--task", "anbncn", "--count", "3", "--max-tokens", "24",
+            "--output", str(out), "--workers", "1",
+        ]
+    )
+    assert code == 0
+    records = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["outcome"] == "error" for r in records] == [False, True, False]
+    assert records[1]["output"].startswith("LogicEvalError")
+    assert not records[1]["v_cfg"]

@@ -12,6 +12,7 @@ from asgdec import (
     END_MARKER,
     Session,
     accepts,
+    csg_projection,
     extend,
     init,
     is_complete,
@@ -19,6 +20,7 @@ from asgdec import (
     valid_terminals,
 )
 from asgdec.errors import BackgroundUnsat, ForestOverflow, InvalidExtension
+from asgdec.tasks import generate_instances
 
 from conftest import (
     ambncmdn_member,
@@ -142,6 +144,19 @@ def test_session_memo_reused_across_words(anbncn_grammar):
     # second pass answers every node evaluation from the memo
     assert session.node_evals == evals
     assert session.eval_cache_hits > 0
+
+
+def test_session_memo_separates_backgrounds():
+    # the sem grammar and its csg projection share annotation fragments but
+    # not backgrounds; a board breaking a given must stay rejected at sem
+    # on a Session that has already accepted it at csg
+    inst = generate_instances("sudoku3", 1, seed=0)[0]
+    g = inst.grammar()
+    word = tuple("[[1,2,3],[3,1,2],[2,3,1]]")
+    assert not accepts(g, word, Session())
+    session = Session()
+    assert accepts(csg_projection(g), word, session)
+    assert not accepts(g, word, session)
 
 
 def test_background_unsat_rejected():

@@ -47,6 +47,52 @@ def test_reference_solution_solves_instance(task):
         assert accepts(inst.grammar(), word), inst.instance_id
 
 
+MALFORMED = [
+    # (task, malformed word, the well-formed word it garbles)
+    (
+        "sudoku3",
+        tuple("[[1,2,3],[2,,3,1],[3,1,2]]"),
+        tuple("[[1,2,3],[2,3,1],[3,1,2]]"),
+    ),
+    (
+        "blocksworld",
+        ("unstack ", "green", " ", "blue", ", ", "stack ", "green", " ", "red",
+         ",", ",", ", ", "end"),
+        ("unstack ", "green", " ", "blue", ", ", "stack ", "green", " ", "red",
+         ", ", "end"),
+    ),
+]
+
+
+@pytest.mark.parametrize("task,bad,good", MALFORMED)
+def test_checker_rejects_malformed_words(task, bad, good):
+    inst = generate_instances(task, 1, seed=0)[0]
+    check = checker_for(inst)
+    assert check(good)
+    assert not check(bad)
+
+
+def test_checker_rejects_junk_between_coloring_entries():
+    inst = generate_instances("graph3color", 1, seed=0)[0]
+    good = reference_solution(inst)
+    cut = good.index(")") + 1
+    bad = good[:cut] + ("x", "x") + good[cut:]
+    check = checker_for(inst)
+    assert check(good)
+    assert not check(bad)
+
+
+def test_score_run_does_not_count_malformed_words():
+    inst = generate_instances("sudoku3", 1, seed=0)[0]
+    _, bad, good = MALFORMED[0]
+    results = [
+        {"terminals": w, "outcome": "completed", "tokens": len(w)}
+        for w in (good, bad)
+    ]
+    rep = score_run(inst.grammar(), results, rho_for(inst))
+    assert rep.accuracy == pytest.approx(1 / 2)
+
+
 def test_save_load_round_trip(tmp_path):
     insts = generate_instances("anbncn", 2, seed=0)
     paths = save_instances(insts, str(tmp_path))
