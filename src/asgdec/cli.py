@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import align, decoding, earley, mcts, tasks
 from .align import EOS_ID, TerminalTokenizer
 from .decoding import DEAD_END, DecodeConfig, DecodeResult
-from .errors import AsgError, InvalidExtension
+from .errors import AsgError, InvalidExtension, UncoverableTerminal
 from .grammar import csg_projection, load_grammar, parse_grammar, strip_annotations
 from .mcts import Reward, SearchConfig, SearchTree
 from .policy import CountingPolicy, NgramPolicy, RemotePolicy, UniformPolicy
@@ -110,9 +110,14 @@ def _build_policy(name, vocab_size, references, tokenizer, cfg):
     if name == "uniform":
         return UniformPolicy(vocab_size)
     if name == "ngram":
-        exemplars = [
-            tuple(tokenizer.encode(text)) + (EOS_ID,) for text in references
-        ]
+        # instances of one task may differ in terminals (graph3color's node
+        # labels), so fit only on the words this tokenizer can spell
+        exemplars = []
+        for text in references:
+            try:
+                exemplars.append(tuple(tokenizer.encode(text)) + (EOS_ID,))
+            except UncoverableTerminal:
+                continue
         return NgramPolicy(vocab_size, exemplars)
     if name == "remote":
         return RemotePolicy(cfg["endpoint"], cfg["model"], vocab_size)

@@ -168,7 +168,8 @@ def _safe_decode(token_map, tokens):
 
 def best_of_n(grammar, token_map, policy, prompt_ids, cfg, reward_fn, accept_fn):
     """Sample cfg.n generations, reject constraint violators, return the
-    reward-best survivor (first index wins ties).
+    reward-best survivor (first index wins ties), carrying the constraint
+    time of all n samples.
 
     ``accept_fn(result) -> bool`` applies the active constraint; with all
     samples rejected the best-effort result is returned flagged.
@@ -183,6 +184,9 @@ def best_of_n(grammar, token_map, policy, prompt_ids, cfg, reward_fn, accept_fn)
     survivors = [r for r in results if r.outcome == COMPLETED and accept_fn(r)]
     pool = survivors or results
     best = max(pool, key=lambda r: (r.reward, -r.sample_index))
-    if not survivors:
-        best = replace(best, flagged=True)
+    best = replace(
+        best,
+        flagged=not survivors,
+        constraint_seconds=sum(r.constraint_seconds for r in results),
+    )
     return best, results

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 from .errors import BackgroundUnsat, ForestOverflow, InvalidExtension
 from .grammar import NONTERMINAL, TERMINAL
-from .logic import SAT, UNSAT, evaluate_node, index_model
+from .logic import SAT, UNSAT, SatResult, evaluate_node, index_model
 
 DEFAULT_FOREST_CAP = 4096
 
 EMPTY_MODEL = frozenset()
+_EMPTY_SAT = SatResult(SAT)
 
 
 class EndMarker:
@@ -86,7 +87,15 @@ class Session:
         return index
 
     def evaluate(self, fragment, models, arity, background):
-        key = (id(fragment), id(background), models, arity)
+        """``evaluate_node`` memoised on what it reads: the fragment, the
+        background and the child models at the positions some ``@k``
+        literal names (None while unrealised).  A fragment without rules
+        is always SAT with the empty model."""
+        if not fragment.rules:
+            return _EMPTY_SAT
+        n = len(models)
+        read = tuple([models[k - 1] if k <= n else None for k in fragment.child_reads])
+        key = (id(fragment), id(background), read)
         hit = self.eval_memo.get(key)
         if hit is not None:
             self.eval_cache_hits += 1

@@ -46,8 +46,14 @@ class Grammar:
     terminals: frozenset = field(default_factory=frozenset)
     nonterminals: frozenset = field(default_factory=frozenset)
 
+    def __post_init__(self):
+        heads = {}  # in order of first appearance
+        for p in self.productions:
+            heads.setdefault(p.head, []).append(p)
+        object.__setattr__(self, "_by_head", {h: tuple(ps) for h, ps in heads.items()})
+
     def by_head(self, name):
-        return [p for p in self.productions if p.head == name]
+        return self._by_head.get(name, ())
 
 
 # ---------------------------------------------------------------------------

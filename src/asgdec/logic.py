@@ -11,14 +11,15 @@ that has not been realised yet are deferred rather than enforced.
 from __future__ import annotations
 
 import itertools
+import operator
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import (
     AsgSyntaxError,
     GroundingOverflow,
     LogicEvalError,
-    OracleTooLarge,
     StratificationError,
 )
 
@@ -119,13 +120,6 @@ def format_rule(rule):
     if not rule.body:
         return f"{format_literal(rule.head)}."
     return f"{format_literal(rule.head)} :- {body}."
-
-
-def format_atom(atom):
-    pred, args = atom
-    if not args:
-        return pred
-    return pred + "(" + ",".join(format_term(a) for a in args) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +327,11 @@ def parse_rules(text, fragment_name="frag", line0=1, col0=1):
 
 
 # ---------------------------------------------------------------------------
-# Fragment: a compiled list of rules.
+# Fragment: a list of rules, compiled into join plans at first evaluation.
 
 
-def _term_vars(t, out):
+def _term_vars(t, out=None):
+    out = set() if out is None else out
     if isinstance(t, Var):
         out.add(t.name)
     elif isinstance(t, Tup):
@@ -345,6 +340,7 @@ def _term_vars(t, out):
     elif isinstance(t, Arith):
         _term_vars(t.left, out)
         _term_vars(t.right, out)
+    return out
 
 
 def _term_has_arith(t):
@@ -380,18 +376,32 @@ class LogicFragment:
     strata: dict = field(default_factory=dict)
     rule_defer_deps: dict = field(default_factory=dict)
     max_child: int = 0
+    child_reads: tuple = ()  # the positions k of the @k literals, ascending
 
     def __post_init__(self):
         self.rules = tuple(self.rules)
         self.local_preds = frozenset(
             r.head.pred for r in self.rules if r.head is not None
         )
-        self.max_child = max(
-            (lit.child for r in self.rules for lit in r.body if lit.child), default=0
+        self.child_reads = tuple(
+            sorted({lit.child for r in self.rules for lit in r.body if lit.child})
         )
+        self.max_child = max(self.child_reads, default=0)
         self._validate_safety()
-        self.strata = self._stratify()
-        self._pred_child_deps = self._child_dep_closure()
+        self._components, self.strata = self._stratify()
+        # pred -> child positions it depends on, transitively
+        child_deps, by_head = {}, {}
+        for r in self.rules:
+            if r.head is not None:
+                by_head.setdefault(r.head.pred, []).extend(r.body)
+        for comp in self._components:
+            deps = set()
+            for lit in itertools.chain.from_iterable(by_head[p] for p in comp):
+                if lit.child is not None:
+                    deps.add(lit.child)
+                elif lit.pred in child_deps:
+                    deps |= child_deps[lit.pred]
+            child_deps.update(dict.fromkeys(comp, deps))
         self.rule_defer_deps = {}
         for r in self.rules:
             deps = set()
@@ -399,8 +409,9 @@ class LogicFragment:
                 if lit.child is not None:
                     deps.add(lit.child)
                 elif lit.neg and not lit.builtin:
-                    deps |= self._pred_child_deps.get(lit.pred, set())
+                    deps |= child_deps.get(lit.pred, set())
             self.rule_defer_deps[r.rule_id] = frozenset(deps)
+        self._plan = None  # compiled at first evaluation
 
     # -- static checks ----------------------------------------------------
     def _validate_safety(self):
@@ -441,67 +452,41 @@ class LogicFragment:
         return edges
 
     def _stratify(self):
+        """The local predicates' strongly connected components, each after
+        the components it reads, and each local predicate's stratum: the
+        most negative edges on a dependency path below it."""
         report = check_stratified([self])
         if not report.ok:
             raise StratificationError(
                 f"fragment {self.name} is not stratified: {report.describe()}",
                 report.cycles,
             )
-        # compute stratum per local predicate: longest chain of negative edges
-        deps = {}
-        for hp, key, neg in self.dependency_edges():
-            if hp.startswith("#constraint"):
-                continue
-            if key in self.local_preds:
-                deps.setdefault(hp, []).append((key, neg))
-        strata = {}
+        components = [c for c in report.components if c & self.local_preds]
+        deps, strata = {}, {}
+        for hp, q, neg in self.dependency_edges():
+            deps.setdefault(hp, []).append((q, neg))
+        for comp in components:
+            s = max((strata[q] + neg for p in comp for q, neg in deps.get(p, ()) if q in strata),
+                    default=0)
+            strata.update(dict.fromkeys(comp, s))
+        return components, strata
 
-        def stratum(p, seen):
-            if p in strata:
-                return strata[p]
-            if p in seen:
-                return 0  # positive cycle: same stratum
-            seen = seen | {p}
-            s = 0
-            for q, neg in deps.get(p, []):
-                s = max(s, stratum(q, seen) + (1 if neg else 0))
-            strata[p] = s
-            return s
-
-        for p in self.local_preds:
-            stratum(p, frozenset())
-        return strata
-
-    def _child_dep_closure(self):
-        """pred -> set of child positions it depends on, transitively."""
-        direct = {}
-        pred_deps = {}
-        for r in self.rules:
-            if r.head is None:
-                continue
-            d = direct.setdefault(r.head.pred, set())
-            pd = pred_deps.setdefault(r.head.pred, set())
-            for lit in r.body:
-                if lit.builtin:
-                    continue
-                if lit.child is not None:
-                    d.add(lit.child)
-                elif lit.pred in self.local_preds:
-                    pd.add(lit.pred)
-        closure = {p: set(direct.get(p, ())) for p in self.local_preds}
-        changed = True
-        while changed:
-            changed = False
-            for p in self.local_preds:
-                for q in pred_deps.get(p, ()):
-                    extra = closure.get(q, set()) - closure[p]
-                    if extra:
-                        closure[p] |= extra
-                        changed = True
-        return closure
-
-    def rule_is_deferred(self, rule, unrealized):
-        return bool(self.rule_defer_deps[rule.rule_id] & unrealized)
+    def _runnable(self, unrealized):
+        """(groups, constraints, deferred rule ids) when the child positions
+        ``unrealized`` are not realised.  Groups come in dependency order as
+        (recursive, [join]); constraints as (rule id, join)."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _PLANS.get(self.rules) or _compile_fragment(self)
+        runnable = plan.runnable.get(unrealized)
+        if runnable is None:
+            live = lambda r: not (self.rule_defer_deps[r.rule_id] & unrealized)
+            runnable = plan.runnable[unrealized] = (
+                [(rec, [j for r, j in rules if j and live(r)]) for rec, rules in plan.groups],
+                [(r.rule_id, j) for r, j in plan.constraints if j and live(r)],
+                tuple(r.rule_id for r in self.rules if not live(r)),
+            )
+        return runnable
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +497,7 @@ class LogicFragment:
 class StratReport:
     ok: bool
     cycles: tuple = ()
+    components: tuple = ()  # strongly connected components, dependencies first
 
     def describe(self):
         if self.ok:
@@ -523,11 +509,14 @@ class StratReport:
 
 def check_stratified(fragments):
     """Predicate dependency graph over the union of fragments; ok iff no
-    cycle contains a negative edge."""
+    cycle contains a negative edge.  Tarjan's algorithm emits each
+    strongly connected component after every component it reaches, so
+    ``components`` comes out in evaluation order."""
     pos = {}
     neg = {}
     nodes = set()
     for frag in fragments:
+        nodes |= frag.local_preds
         for hp, key, is_neg in frag.dependency_edges():
             nodes.add(hp)
             nodes.add(key)
@@ -569,7 +558,7 @@ def check_stratified(fragments):
                     comp.append(w)
                     if w == node:
                         break
-                sccs.append(comp)
+                sccs.append(frozenset(comp))
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
@@ -580,12 +569,11 @@ def check_stratified(fragments):
 
     bad = []
     for comp in sccs:
-        cset = set(comp)
         for v in comp:
-            if neg.get(v, set()) & cset:
-                bad.append(tuple(sorted(cset)))
+            if neg.get(v, set()) & comp:
+                bad.append(tuple(sorted(comp)))
                 break
-    return StratReport(ok=not bad, cycles=tuple(bad))
+    return StratReport(ok=not bad, cycles=tuple(bad), components=tuple(sccs))
 
 
 EMPTY_FRAGMENT = LogicFragment((), "empty")
@@ -611,323 +599,400 @@ class SatResult:
         return self.status != UNSAT
 
 
-def eval_ground_term(t, env):
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise LogicEvalError(f"unbound variable {t.name}")
-    if isinstance(t, Tup):
-        return Tup(tuple(eval_ground_term(i, env) for i in t.items))
-    if isinstance(t, Arith):
-        left = eval_ground_term(t.left, env)
-        right = eval_ground_term(t.right, env)
-        if not isinstance(left, int) or not isinstance(right, int):
-            raise LogicEvalError(
-                f"arithmetic over non-integers: {left!r} {t.op} {right!r}"
-            )
-        if t.op == "+":
-            v = left + right
-        elif t.op == "-":
-            v = left - right
-        else:
-            v = left * right
-        if v > 2**63 - 1 or v < -(2**63):
-            raise LogicEvalError("integer overflow in arithmetic")
-        return v
-    return t
+class FactIndex(dict):
+    """Atoms as pred -> set(args), with a hash index per (pred, arity,
+    bound argument positions), each built at its first lookup."""
 
+    __slots__ = ("indexes",)
 
-def _match_term(pattern, value, env):
-    """Extend env to match pattern against ground value; None on mismatch."""
-    if isinstance(pattern, Var):
-        bound = env.get(pattern.name)
-        if bound is None:
-            env = dict(env)
-            env[pattern.name] = value
-            return env
-        return env if bound == value else None
-    if isinstance(pattern, Tup):
-        if not isinstance(value, Tup) or len(pattern.items) != len(value.items):
-            return None
-        for p, v in zip(pattern.items, value.items):
-            env = _match_term(p, v, env)
-            if env is None:
-                return None
-        return env
-    if isinstance(pattern, Arith):
-        try:
-            return env if eval_ground_term(pattern, env) == value else None
-        except LogicEvalError:
-            return None
-    return env if pattern == value else None
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.indexes = {}
 
-
-def _match_atom(lit, atom_args, env):
-    if len(lit.args) != len(atom_args):
-        return None
-    for p, v in zip(lit.args, atom_args):
-        env = _match_term(p, v, env)
-        if env is None:
-            return None
-    return env
-
-
-class _Store:
-    """Fact lookup: local derived atoms plus read-only background."""
-
-    def __init__(self, background):
-        self.local = {}
-        self.background = background  # dict pred -> set(args)
-
-    def add(self, pred, args):
-        s = self.local.setdefault(pred, set())
-        if args in s:
-            return False
-        s.add(args)
-        return True
-
-    def candidates(self, pred):
-        # snapshot so self-recursive rules can add while a join iterates;
-        # the outer fixpoint loop picks up anything added mid-pass
-        yield from tuple(self.local.get(pred, ()))
-        yield from self.background.get(pred, ())
+    def lookup(self, spec, key):
+        """Facts of spec = (pred, arity, positions) whose arguments there
+        equal ``key``; with no positions, of any arity."""
+        if not spec[2]:
+            return self.get(spec[0], ())
+        idx = self.indexes.get(spec)
+        if idx is None:
+            idx = self.indexes[spec] = _bucket(self.get(spec[0], ()), spec, {})
+        return idx.get(key, ())
 
     def holds(self, pred, args):
-        return args in self.local.get(pred, ()) or args in self.background.get(
-            pred, ()
-        )
+        return args in self.get(pred, ())
 
-    def count(self):
-        return sum(len(s) for s in self.local.values())
+
+def _bucket(facts, spec, idx):
+    _, arity, positions = spec
+    for args in facts:
+        if len(args) == arity:
+            idx.setdefault(tuple([args[p] for p in positions]), []).append(args)
+    return idx
 
 
 def index_model(model):
-    idx = {}
+    idx = FactIndex()
     for pred, args in model:
         idx.setdefault(pred, set()).add(args)
     return idx
 
 
-def _literal_ok_ground(lit, store, child_idx):
-    """Check a fully-bound negative or builtin literal."""
-    if lit.builtin:
-        left, right = lit.args
-        op = lit.builtin
-        if op == "=":
-            res = left == right
-        elif op == "!=":
-            res = left != right
-        else:
-            if not isinstance(left, int) or not isinstance(right, int):
-                raise LogicEvalError(
-                    f"comparison {op} over non-integers: {left!r}, {right!r}"
-                )
-            res = {
-                "<": left < right,
-                "<=": left <= right,
-                ">": left > right,
-                ">=": left >= right,
-            }[op]
-        return res != lit.neg
-    if lit.child is not None:
-        holds = lit.args in child_idx[lit.child - 1].get(lit.pred, set())
-    else:
-        holds = None
-        raise AssertionError("plain literals handled in join")
-    return holds != lit.neg
+class _Store(FactIndex):
+    """Atoms derived by one evaluation.  Lookups on a derived predicate
+    also see the background's facts of it.  An index holds the atoms added
+    before it was built, so a recursive group clears the indexes before
+    each round."""
 
+    __slots__ = ("background", "atoms", "cap")
 
-def _iter_bindings(body, store, child_idx, env):
-    """Join the (reordered) body literals, yielding complete environments."""
-    if not body:
-        yield env
-        return
-    lit, rest = body[0], body[1:]
-    if lit.builtin or lit.neg:
-        glit = Literal(
-            lit.pred,
-            tuple(eval_ground_term(a, env) for a in lit.args),
-            neg=lit.neg,
-            child=lit.child,
-            builtin=lit.builtin,
-        )
-        if glit.builtin:
-            if _literal_ok_ground(glit, store, child_idx):
-                yield from _iter_bindings(rest, store, child_idx, env)
+    def __init__(self, background, cap):
+        super().__init__()
+        self.background, self.cap = background, cap
+        self.atoms = []  # (pred, args) in derivation order; its length is the count
+
+    def lookup(self, spec, key):
+        idx = self.indexes.get(spec)
+        if idx is None:
+            idx = self.indexes[spec] = _bucket(
+                self.background.get(spec[0], ()), spec, _bucket(self.get(spec[0], ()), spec, {})
+            )
+        return idx.get(key, ())
+
+    def holds(self, pred, args):
+        return args in self.get(pred, ()) or args in self.background.get(pred, ())
+
+    def add(self, pred, args):
+        facts = self.get(pred)
+        if facts is None:
+            self[pred] = {args}
+        elif args in facts:
             return
-        # negated plain/child atom, fully ground
-        if glit.child is not None:
-            holds = glit.args in child_idx[glit.child - 1].get(glit.pred, set())
         else:
-            holds = store.holds(glit.pred, glit.args)
-        if holds != glit.neg:
-            yield from _iter_bindings(rest, store, child_idx, env)
-        return
-    # positive atom: enumerate matching facts
-    if lit.child is not None:
-        source = child_idx[lit.child - 1].get(lit.pred, ())
+            facts.add(args)
+        self.atoms.append((pred, args))
+        if len(self.atoms) > self.cap:
+            raise GroundingOverflow(f"more than {self.cap} ground atoms derived")
+
+
+# A join runs over ctx = [store, background, child 1, child 2, ...] and
+# env, a list with one slot per rule variable.  Each step is a closure
+# (ctx, env) -> stop that calls the next step once per extension of env;
+# stop turns True once a constraint has found a violating binding.
+
+_STORE, _BACKGROUND = 0, 1  # child k is ctx[_BACKGROUND + k]
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _term_fn(t, slots):
+    """env -> value of a term whose variables are all bound."""
+    if isinstance(t, Var):
+        return operator.itemgetter(slots[t.name])
+    if isinstance(t, Tup):
+        items = [_term_fn(i, slots) for i in t.items]
+        return lambda env: Tup(tuple([f(env) for f in items]))
+    if not isinstance(t, Arith):
+        return lambda env: t
+    left, right, op, sym = _term_fn(t.left, slots), _term_fn(t.right, slots), _ARITH[t.op], t.op
+
+    def arith(env):
+        a, b = left(env), right(env)
+        if not isinstance(a, int) or not isinstance(b, int):
+            raise LogicEvalError(f"arithmetic over non-integers: {a!r} {sym} {b!r}")
+        v = op(a, b)
+        if v > 2**63 - 1 or v < -(2**63):
+            raise LogicEvalError("integer overflow in arithmetic")
+        return v
+
+    return arith
+
+
+def _tuple_fn(terms, slots):
+    """env -> tuple of the values of ``terms``, whose variables are bound."""
+    if all(isinstance(t, Var) for t in terms):
+        if len(terms) == 1:
+            slot = slots[terms[0].name]
+            return lambda env: (env[slot],)
+        if terms:
+            return operator.itemgetter(*[slots[t.name] for t in terms])
+    fns = [_term_fn(t, slots) for t in terms]
+    return lambda env: tuple([f(env) for f in fns])
+
+
+def _matcher(t, bound, slots):
+    """(value, env) -> matches, for one argument; binds each variable not
+    in ``bound`` at its first occurrence, left to right."""
+    if isinstance(t, Var) and t.name not in bound:
+        bound.add(t.name)
+        slot = slots[t.name]
+        return lambda value, env: env.__setitem__(slot, value) or True
+    if isinstance(t, Tup) and not _term_vars(t) <= bound:
+        subs, n = [_matcher(i, bound, slots) for i in t.items], len(t.items)
+        return lambda value, env: (
+            isinstance(value, Tup) and len(value.items) == n
+            and all(m(v, env) for m, v in zip(subs, value.items))
+        )
+    f = _term_fn(t, slots)
+
+    def test(value, env):
+        try:
+            return f(env) == value
+        except LogicEvalError:  # an ill-typed sum matches nothing
+            return False
+
+    return test
+
+
+def _matchable(args, bound):
+    """The bound set after matching ``args`` left to right, or None when a
+    sum meets an unbound variable, so the literal matches nothing."""
+    bound = set(bound)
+
+    def walk(t):
+        if isinstance(t, Arith):
+            return _term_vars(t) <= bound
+        if isinstance(t, Tup):
+            return all(walk(i) for i in t.items)
+        _term_vars(t, bound)
+        return True
+
+    return bound if all(walk(a) for a in args) else None
+
+
+def _binder(lit, bound):
+    """(variable, term) when ``V = term`` can bind the unbound V."""
+    if lit.builtin == "=" and not lit.neg:
+        for var, term in (lit.args, lit.args[::-1]):
+            if isinstance(var, Var) and var.name not in bound and _term_vars(term) <= bound:
+                return var.name, term
+    return None
+
+
+def _plan_steps(body, positives, checks, bound):
+    """Join order as (kind in pos/check/bind, body index, bound set before,
+    positives left) steps.  A check or binder goes where its variables are
+    first bound, but never ahead of a check that can raise and comes before
+    it in reference order, so a rejected binding has passed or cannot raise
+    every earlier check.  Of the positives that can match, the one with
+    all arguments bound leads, then the most bound arguments, then body
+    order."""
+    bound, todo, pending, steps = set(bound), list(positives), list(checks), []
+
+    def place():
+        j = 0
+        while j < len(pending):
+            lit = body[pending[j]]
+            binder = _binder(lit, bound)
+            if binder or literal_vars(lit) <= bound:
+                steps.append(("bind" if binder else "check", pending.pop(j),
+                              frozenset(bound), tuple(todo)))
+                bound.update(binder[:1] if binder else ())
+                j = 0
+            elif lit.builtin in _CMP or any(_term_has_arith(a) for a in lit.args):
+                return  # this check can raise
+            else:
+                j += 1
+
+    def score(i):
+        nbound = sum(_term_vars(a) <= bound for a in body[i].args)
+        return (nbound == len(body[i].args), nbound)
+
+    place()
+    while todo:
+        i = max((i for i in todo if _matchable(body[i].args, bound) is not None), key=score)
+        steps.append(("pos", i, frozenset(bound), ()))
+        bound = _matchable(body[i].args, bound)
+        todo.remove(i)
+        place()
+    return steps
+
+
+def _check_fn(lit, slots):
+    """(ctx, env) -> passes, for a builtin or negated literal whose
+    variables are bound; raises LogicEvalError on an ill-typed term."""
+    if not lit.builtin:
+        src, pred, args = (_BACKGROUND + lit.child if lit.child else _STORE), lit.pred, _tuple_fn(lit.args, slots)
+        return lambda ctx, env: not ctx[src].holds(pred, args(env))
+    (left, right), neg, op = [_term_fn(a, slots) for a in lit.args], lit.neg, lit.builtin
+    if op in ("=", "!="):
+        want = (op == "=") != neg
+        return lambda ctx, env: (left(env) == right(env)) == want
+    cmp = _CMP[op]
+
+    def compare(ctx, env):
+        a, b = left(env), right(env)
+        if not isinstance(a, int) or not isinstance(b, int):
+            raise LogicEvalError(f"comparison {op} over non-integers: {a!r}, {b!r}")
+        return cmp(a, b) != neg
+
+    return compare
+
+
+def _scan(lit, bound, slots, src, run):
+    """Positive literal: look up the facts that agree on the bound
+    arguments and match the others."""
+    keyed = [p for p, a in enumerate(lit.args) if _term_vars(a) <= bound]
+    key = _tuple_fn([lit.args[p] for p in keyed], slots) if keyed else None
+    spec, arity = (lit.pred, len(lit.args), tuple(keyed)), len(lit.args)
+    inner, binds, tests = set(bound), [], []
+    for p, a in enumerate(lit.args):
+        if isinstance(a, Var) and a.name not in inner:  # a first occurrence
+            inner.add(a.name)
+            binds.append((p, slots[a.name]))
+        elif p not in keyed:
+            tests.append((p, _matcher(a, inner, slots)))
+
+    def scan(ctx, env):
+        try:
+            facts = ctx[src].lookup(spec, key(env) if key else ())
+        except LogicEvalError:  # an ill-typed sum matches nothing
+            return False
+        for args in facts:
+            if len(args) != arity:
+                continue
+            for p, slot in binds:
+                env[slot] = args[p]
+            for p, m in tests:
+                if not m(args[p], env):
+                    break
+            else:
+                if run(ctx, env):
+                    return True
+        return False
+
+    return scan
+
+
+def _guard(lit, kind, bound, slots, run, fallback):
+    """Check or binder step; an ill-typed term hands the binding to
+    ``fallback``, which finishes it in reference order."""
+    if kind == "check":
+        check = _check_fn(lit, slots)
     else:
-        source = store.candidates(lit.pred)
-    for args in source:
-        env2 = _match_atom(lit, args, env)
-        if env2 is not None:
-            yield from _iter_bindings(rest, store, child_idx, env2)
+        var, term = _binder(lit, bound)
+        slot, value = slots[var], _term_fn(term, slots)
+
+        def check(ctx, env):
+            env[slot] = value(env)
+            return True
+
+    def guard(ctx, env):
+        try:
+            ok = check(ctx, env)
+        except LogicEvalError:
+            return fallback(ctx, env)
+        return ok and run(ctx, env)
+
+    return guard
 
 
-def _reorder_body(body):
-    pos = [l for l in body if not l.neg and not l.builtin]
-    builtins = [l for l in body if l.builtin]
-    negs = [l for l in body if l.neg and not l.builtin]
-    return tuple(pos + builtins + negs)
+def _compile_rule(rule, local_preds):
+    """ctx -> stop for one rule, or None when the rule can never fire.  The
+    reference order is all positives, then the builtins, then the
+    negations, each in body order; a binding whose early check meets an
+    ill-typed value finishes in it, so LogicEvalError is raised exactly
+    when a complete positive binding reaches the bad term in that order."""
+    body = rule.body
+    positives = [i for i, l in enumerate(body) if not l.neg and not l.builtin]
+    checks = [i for i, l in enumerate(body) if l.builtin] + [
+        i for i, l in enumerate(body) if l.neg and not l.builtin]
+    bound = set()
+    for i in positives:
+        bound = _matchable(body[i].args, bound)
+        if bound is None:  # a sum meets an unbound variable in body order
+            return None
+    names = set().union(*map(literal_vars, body + ((rule.head,) if rule.head else ())))
+    slots = {v: k for k, v in enumerate(sorted(names))}
+    srcs = {
+        i: _BACKGROUND + body[i].child if body[i].child
+        else _STORE if body[i].pred in local_preds else _BACKGROUND
+        for i in positives
+    }
+    check_fns = [_check_fn(body[i], slots) for i in checks]
+    if rule.head is None:
+        emit = lambda ctx, env: True
+    else:
+        pred, head = rule.head.pred, _tuple_fn(rule.head.args, slots)
+        emit = lambda ctx, env: ctx[_STORE].add(pred, head(env))  # None: go on
+
+    def tail(ctx, env):
+        return all(check(ctx, env) for check in check_fns) and emit(ctx, env)
+
+    def chain(steps, run):
+        for kind, i, bound, todo in reversed(steps):
+            if kind == "pos":
+                run = _scan(body[i], bound, slots, srcs[i], run)
+            else:
+                fallback = chain(_plan_steps(body, todo, (), bound), tail)
+                run = _guard(body[i], kind, bound, slots, run, fallback)
+        return run
+
+    run, n = chain(_plan_steps(body, positives, checks, ()), emit), len(slots)
+    return lambda ctx: run(ctx, [None] * n)
 
 
-def evaluate_node(
-    fragment,
-    child_models,
-    background,
-    atom_cap=DEFAULT_ATOM_CAP,
-):
+class _Plan:
+    """Rule groups in dependency order as (recursive, [(rule, join)]),
+    constraints as [(rule, join)], and the runnable plan per set of
+    unrealised read positions.  Fragments with equal rules (instances of
+    one task) share a plan through ``_PLANS`` while one of them lives."""
+
+    __slots__ = ("groups", "constraints", "runnable", "__weakref__")
+
+
+_PLANS = weakref.WeakValueDictionary()  # rules -> _Plan
+
+
+def _compile_fragment(fragment):
+    local, groups = fragment.local_preds, []
+    for comp in fragment._components:
+        rules = [r for r in fragment.rules if r.head is not None and r.head.pred in comp]
+        recursive = len(comp) > 1 or any(
+            not l.neg and l.child is None and l.pred in comp for r in rules for l in r.body
+        )
+        groups.append((recursive, [(r, _compile_rule(r, local)) for r in rules]))
+    plan = _PLANS[fragment.rules] = _Plan()
+    plan.groups, plan.runnable = groups, {}
+    plan.constraints = [(r, _compile_rule(r, local)) for r in fragment.rules if r.head is None]
+    return plan
+
+
+def evaluate_node(fragment, child_models, background, atom_cap=DEFAULT_ATOM_CAP):
     """Evaluate one parse-tree node's annotation.
 
     ``child_models`` holds one entry per RHS position: a frozenset of atoms
     for realised children (terminals are always the empty model), or None
     for children not yet realised.  ``background`` is a pred->set(args)
     index, visible in rule bodies but not re-exported.
+
+    Rule groups run in dependency order: a non-recursive group once, a
+    recursive one in rounds of all its joins until a round adds no atom.
     """
-    unrealized = frozenset(
-        k + 1 for k, m in enumerate(child_models) if m is None
-    )
-    child_idx = [
-        index_model(m) if isinstance(m, frozenset) else (m if m is not None else {})
-        for m in child_models
-    ]
-    active = []
-    deferred_ids = []
-    for r in fragment.rules:
-        if fragment.rule_is_deferred(r, unrealized):
-            deferred_ids.append(r.rule_id)
-        else:
-            active.append(r)
-
-    store = _Store(background)
-    # group active definite rules by stratum
-    max_stratum = max(fragment.strata.values(), default=0)
-    by_stratum = {s: [] for s in range(max_stratum + 1)}
-    constraints = []
-    for r in active:
-        if r.head is None:
-            constraints.append(r)
-        else:
-            by_stratum[fragment.strata[r.head.pred]].append(r)
-
-    for s in range(max_stratum + 1):
-        rules = by_stratum[s]
-        changed = True
-        while changed:
-            changed = False
-            for r in rules:
-                body = _reorder_body(r.body)
-                for env in _iter_bindings(body, store, child_idx, {}):
-                    head_args = tuple(
-                        eval_ground_term(a, env) for a in r.head.args
-                    )
-                    if store.add(r.head.pred, head_args):
-                        changed = True
-                        if store.count() > atom_cap:
-                            raise GroundingOverflow(
-                                f"more than {atom_cap} ground atoms derived"
-                            )
-
-    for r in constraints:
-        body = _reorder_body(r.body)
-        for _env in _iter_bindings(body, store, child_idx, {}):
-            return SatResult(UNSAT, violated=r.rule_id)
-
-    model = frozenset(
-        (pred, args) for pred, argset in store.local.items() for args in argset
-    )
-    if deferred_ids:
-        return SatResult(DEFERRED, model=model, deferred=tuple(deferred_ids))
+    unrealized = frozenset([k for k in fragment.child_reads if child_models[k - 1] is None])
+    groups, constraints, deferred = fragment._runnable(unrealized)
+    if not isinstance(background, FactIndex):
+        background = FactIndex(background)
+    store = _Store(background, atom_cap)
+    ctx = [store, background] + [None] * len(child_models)
+    for k in fragment.child_reads:
+        m = child_models[k - 1]
+        if m is not None:
+            ctx[_BACKGROUND + k] = index_model(m) if isinstance(m, frozenset) else FactIndex(m)
+    atoms = store.atoms
+    for recursive, joins in groups:
+        grew = True
+        while grew:
+            start = len(atoms)
+            if recursive:
+                store.indexes.clear()  # the group's own predicates may have grown
+            for join in joins:
+                join(ctx)
+            grew = recursive and len(atoms) > start
+    for rule_id, join in constraints:
+        if join(ctx):
+            return SatResult(UNSAT, violated=rule_id)
+    model = frozenset(atoms)
+    if deferred:
+        return SatResult(DEFERRED, model=model, deferred=deferred)
     return SatResult(SAT, model=model)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle over ground programs.
-
-
-def enumerate_models_bruteforce(rules, max_atoms=20):
-    """All answer sets of a ground program, by exhaustive 2^n enumeration.
-
-    Each interpretation is checked to be the least model of its reduct and
-    to violate no constraint.  Rules must be ground (no variables).
-    """
-    atoms = set()
-    for r in rules:
-        if r.head is not None:
-            atoms.add((r.head.pred, r.head.args))
-        for lit in r.body:
-            if not lit.builtin:
-                atoms.add((lit.pred, lit.args))
-    for r in rules:
-        for lit in itertools.chain(
-            [r.head] if r.head else [], r.body
-        ):
-            if lit.builtin:
-                continue
-            if literal_vars(lit):
-                raise LogicEvalError("oracle requires a ground program")
-            if lit.child is not None:
-                raise LogicEvalError("oracle does not support child references")
-    atoms = sorted(atoms)
-    if len(atoms) > max_atoms:
-        raise OracleTooLarge(f"{len(atoms)} atoms exceeds the cap of {max_atoms}")
-
-    definite = [r for r in rules if r.head is not None]
-    constraints = [r for r in rules if r.head is None]
-
-    def least_model_of_reduct(interp):
-        reduct = []
-        for r in definite:
-            blocked = False
-            posbody = []
-            for lit in r.body:
-                key = (lit.pred, lit.args)
-                if lit.neg:
-                    if key in interp:
-                        blocked = True
-                        break
-                else:
-                    posbody.append(key)
-            if not blocked:
-                reduct.append(((r.head.pred, r.head.args), posbody))
-        model = set()
-        changed = True
-        while changed:
-            changed = False
-            for head, body in reduct:
-                if head not in model and all(b in model for b in body):
-                    model.add(head)
-                    changed = True
-        return frozenset(model)
-
-    def violates(interp):
-        for r in constraints:
-            sat = True
-            for lit in r.body:
-                key = (lit.pred, lit.args)
-                holds = key in interp
-                if holds == lit.neg:
-                    sat = False
-                    break
-            if sat:
-                return True
-        return False
-
-    out = set()
-    n = len(atoms)
-    for bits in range(1 << n):
-        interp = frozenset(atoms[i] for i in range(n) if bits >> i & 1)
-        if least_model_of_reduct(interp) == interp and not violates(interp):
-            out.add(interp)
-    return out

@@ -9,7 +9,8 @@ per node and reused, including across searches that share the tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -49,11 +50,23 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """Counters of one ``search`` call."""
+
     rollouts: int = 0
     policy_calls: int = 0
-    cache_hits: int = 0
+    cache_hits: int = 0  # logic memo hits during this search
     max_branching: int = 0
     simulations: int = 0
+    constraint_seconds: float = 0.0  # in the parser and the token mask
+
+
+def _timed(stats, fn, *args):
+    """fn(*args), with its wall time added to the search's constraint time."""
+    t0 = time.perf_counter()
+    try:
+        return fn(*args)
+    finally:
+        stats.constraint_seconds += time.perf_counter() - t0
 
 
 class SearchNode:
@@ -134,7 +147,9 @@ class SearchTree:
 
 
 def search(tree, policy, reward, cfg):
-    """Run PUCB MCTS; returns (best DecodeResult, SearchStats).
+    """Run PUCB MCTS; returns (best DecodeResult, SearchStats).  The
+    result's ``constraint_seconds`` is this search's time in the parser and
+    the token mask.
 
     Stops at the first reward-1 rollout (the reward's global maximum) or
     at budget exhaustion.  ``policy`` should expose a ``calls`` counter
@@ -143,6 +158,7 @@ def search(tree, policy, reward, cfg):
     """
     stats = SearchStats()
     calls_before = getattr(policy, "calls", 0)
+    hits_before = tree.session.eval_cache_hits
     best = None  # (reward, DecodeResult)
     rng = np.random.default_rng(cfg.seed)
 
@@ -160,10 +176,10 @@ def search(tree, policy, reward, cfg):
             break
 
     stats.policy_calls = getattr(policy, "calls", 0) - calls_before
-    stats.cache_hits = tree.session.eval_cache_hits
+    stats.cache_hits = tree.session.eval_cache_hits - hits_before
     if best is None:
         return None, stats
-    return best[1], stats
+    return replace(best[1], constraint_seconds=stats.constraint_seconds), stats
 
 
 def _simulate(tree, policy, reward, cfg, stats, rng):
@@ -192,15 +208,15 @@ def _simulate(tree, policy, reward, cfg, stats, rng):
         path.append((node, a))
         child = node.children.get(a)
         if child is None:
-            child = _make_child(tree, node, a, reward, cfg)
+            child = _make_child(tree, node, a, reward, cfg, stats)
             node.children[a] = child
         node = child
 
 
 def _expand(tree, node, policy, stats):
-    valid = align.valid_tokens(node.state, tree.token_map, node.cursor)
+    valid = _timed(stats, align.valid_tokens, node.state, tree.token_map, node.cursor)
     stats.max_branching = max(
-        stats.max_branching, len(earley.valid_terminals(node.state))
+        stats.max_branching, len(_timed(stats, earley.valid_terminals, node.state))
     )
     if not valid:
         # dead end; _rollout scores it via the distance function
@@ -223,7 +239,7 @@ def _token_path(tree, node):
     return tuple(out)
 
 
-def _make_child(tree, node, action, reward, cfg):
+def _make_child(tree, node, action, reward, cfg, stats):
     if action == EOS_ID:
         child = SearchNode(node.state, node.cursor, node.terminals, node.depth + 1)
         result = _result(tree, child, COMPLETED)
@@ -234,15 +250,15 @@ def _make_child(tree, node, action, reward, cfg):
         child.exhausted = True
         child.exact_value = child.terminal_reward
         return child
-    state, cursor, emitted = align.apply_token(
-        node.state, tree.token_map, node.cursor, action
+    state, cursor, emitted = _timed(
+        stats, align.apply_token, node.state, tree.token_map, node.cursor, action
     )
     terminals = node.terminals + (emitted,) if emitted else node.terminals
     depth = node.depth + 1
     # collapse forced moves: while exactly one token is admissible, take it,
     # so tree depth counts decision points rather than raw tokens
     while depth < cfg.max_depth:
-        forced = align.valid_tokens(state, tree.token_map, cursor)
+        forced = _timed(stats, align.valid_tokens, state, tree.token_map, cursor)
         if len(forced) != 1:
             break
         tok = next(iter(forced))
@@ -255,8 +271,8 @@ def _make_child(tree, node, action, reward, cfg):
             child.exhausted = True
             child.exact_value = child.terminal_reward
             return child
-        state, cursor, emitted = align.apply_token(
-            state, tree.token_map, cursor, tok
+        state, cursor, emitted = _timed(
+            stats, align.apply_token, state, tree.token_map, cursor, tok
         )
         if emitted is not None:
             terminals = terminals + (emitted,)
@@ -349,7 +365,7 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
         elif prior_step:
             valid = set(node.priors)
         else:
-            valid = align.valid_tokens(state, tree.token_map, cursor)
+            valid = _timed(stats, align.valid_tokens, state, tree.token_map, cursor)
             if not valid:
                 if frames:
                     state, cursor, n_t, n_i, steps, rest = frames.pop()
@@ -391,14 +407,14 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
         if tok == EOS_ID:
             outcome = COMPLETED
             break
-        state, cursor, emitted = align.apply_token(
-            state, tree.token_map, cursor, tok
+        state, cursor, emitted = _timed(
+            stats, align.apply_token, state, tree.token_map, cursor, tok
         )
         if emitted is not None:
             terminals.append(emitted)
     if outcome == MAX_LENGTH:
         # the loop never probes the word reached exactly at the cap
-        valid = align.valid_tokens(state, tree.token_map, cursor)
+        valid = _timed(stats, align.valid_tokens, state, tree.token_map, cursor)
         if EOS_ID in valid:
             cand = reward.of(terminals, True)
             if best_stop is None or cand > best_stop[0]:

@@ -116,8 +116,10 @@ class NgramPolicy:
 class RemotePolicy:
     """Client for the full-logit HTTP protocol.
 
-    POST /v1/logits with {"tokens": [...], "model": name}; the response
-    carries {"logprobs": [...]} of length vocab_size.
+    POST /v1/logits with {"prompt": [...], "generated": [...], "tokens":
+    [...], "model": name}, where tokens is prompt + generated for servers
+    that read one sequence; the response carries {"logprobs": [...]} of
+    length vocab_size.
     """
 
     def __init__(
@@ -139,9 +141,12 @@ class RemotePolicy:
     def next_distribution(self, ctx):
         if len(ctx.tokens) > self.max_context:
             raise ContextTooLong(f"context of {len(ctx.tokens)} tokens")
-        body = json.dumps(
-            {"tokens": list(ctx.tokens), "model": self.model}
-        ).encode()
+        body = json.dumps({
+            "prompt": list(ctx.prompt),
+            "generated": list(ctx.generated),
+            "tokens": list(ctx.tokens),
+            "model": self.model,
+        }).encode()
         url = self.endpoint + "/v1/logits"
         last = None
         for attempt in range(self.retries + 1):

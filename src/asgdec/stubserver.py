@@ -26,8 +26,10 @@ class LogitServer:
                 length = int(self.headers.get("Content-Length", 0))
                 try:
                     body = json.loads(self.rfile.read(length))
-                    tokens = tuple(int(t) for t in body["tokens"])
-                    ctx = PolicyContext(prompt=tokens)
+                    ctx = PolicyContext(
+                        tuple(int(t) for t in body["prompt"]),
+                        tuple(int(t) for t in body["generated"]),
+                    )
                     dist = outer.policy.next_distribution(ctx)
                     payload = json.dumps(
                         {"logprobs": [float(x) for x in dist.logprobs]}

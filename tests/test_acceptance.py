@@ -44,7 +44,6 @@ from asgdec.logic import (
     SAT,
     UNSAT,
     LogicFragment,
-    enumerate_models_bruteforce,
     evaluate_node,
     parse_rules,
 )
@@ -66,6 +65,7 @@ from conftest import (
     copy_member,
     copy_next,
 )
+from logic_reference import enumerate_models_bruteforce
 
 # ---------------------------------------------------------------------------
 # 1. membership agrees with the closed-form language definitions

@@ -134,3 +134,45 @@ def test_run_records_engine_error_and_finishes_batch(tmp_path, monkeypatch):
     assert [r["outcome"] == "error" for r in records] == [False, True, False]
     assert records[1]["output"].startswith("LogicEvalError")
     assert not records[1]["v_cfg"]
+
+
+@pytest.mark.parametrize("algo", ["mcts", "bon"])
+def test_run_records_constraint_time_of_search_and_best_of_n(tmp_path, algo):
+    out = tmp_path / "res.jsonl"
+    main(
+        [
+            "run", "--task", "anbncn", "--algo", algo, "--count", "2",
+            "--budget", "4", "--max-tokens", "24", "--output", str(out),
+            "--workers", "1",
+        ]
+    )
+    records = [json.loads(l) for l in out.read_text().splitlines()]
+    assert records and all(r["t_constraint_ms"] > 0 for r in records)
+
+
+def test_best_of_n_sums_constraint_time_over_samples():
+    from asgdec import TerminalTokenizer, UniformPolicy, build_map, parse_grammar
+    from asgdec.decoding import DecodeConfig, best_of_n
+
+    g = parse_grammar(ANBNCN_GRAMMAR)
+    tmap = build_map(g.terminals, TerminalTokenizer(g.terminals))
+    cfg = DecodeConfig(mode="best_of_n", n=3, max_tokens=12)
+    best, results = best_of_n(
+        g, tmap, UniformPolicy(tmap.vocab_size), (), cfg, lambda r: 0.0, lambda r: True
+    )
+    assert best.constraint_seconds == sum(r.constraint_seconds for r in results) > 0
+
+
+def test_run_ngram_on_graph3color_fits_on_spellable_words(tmp_path):
+    # graph3color instances differ in node terminals, so some reference
+    # words cannot be spelt by another instance's tokenizer
+    out = tmp_path / "res.jsonl"
+    main(
+        [
+            "run", "--task", "graph3color", "--policy", "ngram", "--count", "4",
+            "--output", str(out), "--workers", "1",
+        ]
+    )
+    records = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(records) == 4
+    assert [r["outcome"] for r in records if r["outcome"] == "error"] == []

@@ -19,11 +19,12 @@ from asgdec.logic import (
     LogicFragment,
     QStr,
     Tup,
-    enumerate_models_bruteforce,
     evaluate_node,
     format_rule,
     parse_rules,
 )
+
+from logic_reference import enumerate_models_bruteforce
 
 
 def frag(text, name="t"):

@@ -246,3 +246,22 @@ def test_rollouts_cached_per_node():
     for n in walk(tree.root):
         if id(n) in before:
             assert n.rollout is before[id(n)]
+
+
+def test_search_reports_its_own_constraint_time_and_cache_hits(anbncn_grammar):
+    tok = TerminalTokenizer(anbncn_grammar.terminals)
+    tmap = build_map(anbncn_grammar.terminals, tok)
+    from asgdec.tasks.sgs import anbncn_rho
+
+    session = Session()
+    tree = SearchTree(anbncn_grammar, tmap, (), session)
+    policy = CountingPolicy(UniformPolicy(tmap.vocab_size))
+    reward = Reward(rho=anbncn_rho(4))
+    for seed in range(2):  # the second search reuses the warm tree and session
+        hits_before = session.eval_cache_hits
+        result, stats = search(
+            tree, policy, reward, SearchConfig(budget=10, max_tokens=20, seed=seed)
+        )
+        assert result.constraint_seconds > 0
+        assert result.constraint_seconds == stats.constraint_seconds
+        assert stats.cache_hits == session.eval_cache_hits - hits_before

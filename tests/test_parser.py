@@ -146,6 +146,26 @@ def test_session_memo_reused_across_words(anbncn_grammar):
     assert session.eval_cache_hits > 0
 
 
+def test_session_memo_keys_on_the_positions_literals_read():
+    from asgdec.logic import DEFERRED, EMPTY_FRAGMENT, SAT, LogicFragment, parse_rules
+
+    frag = LogicFragment(parse_rules("q(X) :- p(X)@1."), "f")
+    m, empty, bg = frozenset({("p", (1,))}), frozenset(), {}
+    session = Session()
+    first = session.evaluate(frag, (m,), 3, bg)
+    # advancing over positions 2 and 3, which no literal reads, is a hit
+    assert session.evaluate(frag, (m, empty), 3, bg) is first
+    assert session.evaluate(frag, (m, empty, empty), 3, bg) is first
+    assert (session.node_evals, session.eval_cache_hits) == (1, 2)
+    assert first.status == SAT and first.model == {("q", (1,))}
+    # an unrealised read position is part of the key
+    assert session.evaluate(frag, (), 3, bg).status == DEFERRED
+    assert session.node_evals == 2
+    # a fragment without rules is never evaluated
+    assert session.evaluate(EMPTY_FRAGMENT, (empty,), 1, bg).status == SAT
+    assert (session.node_evals, session.eval_cache_hits) == (2, 2)
+
+
 def test_session_memo_separates_backgrounds():
     # the sem grammar and its csg projection share annotation fragments but
     # not backgrounds; a board breaking a given must stay rejected at sem

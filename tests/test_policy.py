@@ -114,3 +114,27 @@ def test_remote_policy_unreachable():
     )
     with pytest.raises(RemoteError):
         remote.next_distribution(PolicyContext(prompt=()))
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [
+        UniformPolicy(vocab_size=4),
+        NgramPolicy(vocab_size=4, exemplars=[(1, 2, 3, 0), (2, 2, 1, 0)], order=3),
+    ],
+    ids=["uniform", "ngram"],
+)
+def test_served_policy_matches_local(inner):
+    # the n-gram history is the generated part only, so a server that
+    # loses the prompt/generated split answers with the wrong history
+    contexts = [
+        PolicyContext(prompt=()),
+        PolicyContext(prompt=(1, 2)),
+        PolicyContext(prompt=(3,), generated=(1, 2)),
+        PolicyContext(prompt=(2, 2), generated=(3,)),
+    ]
+    with LogitServer(inner) as srv:
+        remote = RemotePolicy(srv.endpoint, model="stub", vocab_size=4)
+        for ctx in contexts:
+            got = remote.next_distribution(ctx).logprobs
+            assert np.allclose(got, inner.next_distribution(ctx).logprobs), ctx
