@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Check that two source trees give the same outputs on the benchmark's
+operations.
+
+Runs one pass of every operation of the four perfbench workloads against
+this checkout's ``src/`` and against another tree's, each in its own
+process and both with this checkout's ``perfbench/``.  Per operation it
+compares the token ids (verdicts for ``verify_words``), the outcome, and
+whether the operation failed and as which kept fault.  Prints one line per
+workload and seed, and exits 1 on any difference.
+
+Usage:
+    python scripts/same_outputs.py --other ../parent/src --seeds 5 7 11
+    python scripts/same_outputs.py --other ../parent/src --workloads mcts_search
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("sample_sem", "json_subword", "mcts_search", "verify_words")
+
+
+def dump(src, workload, seed):
+    """Print one JSON row per operation of ``workload`` run on ``src``."""
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    import asgdec
+
+    if not os.path.abspath(asgdec.__file__).startswith(src + os.sep):
+        raise SystemExit(f"error: asgdec imported from {asgdec.__file__}, not {src}")
+    from workloads import WORKLOADS as SETUPS
+
+    rows = []
+    for op in SETUPS[workload](seed).ops:
+        out = op.run()
+        rows.append([op.label, repr(out.ids), out.kind, out.ok, out.known])
+    json.dump(rows, sys.stdout)
+
+
+def outputs(src, workload, seed):
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--dump", src,
+         "--workload", workload, "--seed", str(seed)],
+        capture_output=True, text=True,
+    )
+    if proc.returncode:
+        raise SystemExit(f"error: {workload} seed {seed} on {src}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def kept_faults(rows):
+    return Counter(known for _, _, _, ok, known in rows if not ok and known)
+
+
+def compare(mine, theirs):
+    """Labels of the operations whose outputs differ."""
+    if [r[0] for r in mine] != [r[0] for r in theirs]:
+        return ["<operation lists differ>"]
+    return [a[0] for a, b in zip(mine, theirs) if a != b]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--other", help="the other tree's src directory")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[5, 7, 11])
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
+    ap.add_argument("--dump", metavar="SRC", help=argparse.SUPPRESS)
+    ap.add_argument("--workload", choices=WORKLOADS, help=argparse.SUPPRESS)
+    ap.add_argument("--seed", type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.dump:
+        dump(os.path.abspath(args.dump), args.workload, args.seed)
+        return 0
+    if not args.other:
+        ap.error("--other is required")
+    here = os.path.join(ROOT, "src")
+    other = os.path.abspath(args.other)
+    differ = False
+    for seed in args.seeds:
+        for workload in args.workloads:
+            mine = outputs(here, workload, seed)
+            theirs = outputs(other, workload, seed)
+            diff = compare(mine, theirs)
+            faults, other_faults = kept_faults(mine), kept_faults(theirs)
+            same = not diff and faults == other_faults
+            differ = differ or not same
+            print(
+                f"seed {seed} {workload}: {len(mine)} operations, "
+                f"{'same' if same else 'DIFFERENT'}; kept faults {dict(faults)}"
+                + ("" if faults == other_faults else f" vs {dict(other_faults)}")
+                + (f"; first differences: {diff[:5]}" if diff else "")
+            )
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

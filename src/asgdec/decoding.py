@@ -64,8 +64,8 @@ def masked_logprobs(dist, valid_ids, temperature=1.0):
     """Restrict to valid ids and renormalize; returns (ids array, logp)."""
     ids = np.fromiter(sorted(valid_ids), dtype=np.int64)
     lp = dist.logprobs[ids] / max(temperature, 1e-9)
-    m = np.max(lp)
-    lp = lp - (m + np.log(np.sum(np.exp(lp - m))))
+    m = lp.max()
+    lp = lp - (m + np.log(np.exp(lp - m).sum()))
     return ids, lp
 
 
@@ -75,11 +75,11 @@ def _filter_topk_topp(ids, lp, top_k, top_p):
     if top_k is not None and top_k < len(ids):
         ids, lp = ids[:top_k], lp[:top_k]
     if top_p < 1.0:
-        cum = np.cumsum(np.exp(lp))
+        cum = np.exp(lp).cumsum()
         keep = int(np.searchsorted(cum, top_p) + 1)
         ids, lp = ids[:keep], lp[:keep]
-    m = np.max(lp)
-    lp = lp - (m + np.log(np.sum(np.exp(lp - m))))
+    m = lp.max()
+    lp = lp - (m + np.log(np.exp(lp - m).sum()))
     return ids, lp
 
 
@@ -87,7 +87,7 @@ def choose_token(dist, valid_ids, cfg, rng):
     """One draw from the masked distribution."""
     ids, lp = masked_logprobs(dist, valid_ids, 1.0 if cfg.mode == "greedy" else cfg.temperature)
     if cfg.mode == "greedy":
-        return int(ids[np.argmax(lp)])
+        return int(ids[lp.argmax()])
     ids, lp = _filter_topk_topp(ids, lp, cfg.top_k, cfg.top_p)
     return int(rng.choice(ids, p=np.exp(lp)))
 

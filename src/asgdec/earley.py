@@ -5,14 +5,35 @@ terminal prefix.  The chart is Earley-style, but every item carries the
 exported logic models of its realised children; node annotations are
 evaluated (partially, with deferral for unrealised children) every time an
 item advances, and items whose evaluation fails are pruned immediately.
+An item is a plain tuple (production id, dot, origin, models): ``models``
+has one entry per symbol left of the dot, the empty model for terminals
+and the completed subtree's exported atoms for nonterminals.
+
+Live charts.  Once an item set is closed, only part of it is ever read
+again: its open items (scanned by the next terminal, or advanced when a
+child completes) and its full parses (complete start items from position
+0).  That part, with every origin other than 0 written as a distance back
+from the set's own position, together with the live chart at each earlier
+origin an open item waits on, decides every later item set, mask and
+verdict.  A state indexes its live chart as a ``_Chart`` node when it is
+first extended or masked, never while it is only a trial child.  When it
+is first masked, the node is interned, one per Session, grammar and
+forest cap, in a weak-valued table.  The node keeps the terminal mask and
+the verdict, and weak links to the nodes that follow it, so a state whose
+live chart was already seen reads its mask without trial extensions and
+builds its successors by shifting origins instead of closing a new item
+set.  States hold their nodes, nodes hold only earlier nodes and link to
+later ones weakly, so there are no reference cycles and a dropped state
+frees its chain at once.  A state that is only extended, as in
+``accepts``, never pays for the lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from itertools import chain
 
 from .errors import BackgroundUnsat, ForestOverflow, InvalidExtension
-from .grammar import NONTERMINAL, TERMINAL
 from .logic import SAT, UNSAT, SatResult, evaluate_node, index_model
 
 DEFAULT_FOREST_CAP = 4096
@@ -39,21 +60,6 @@ class EndMarker:
 END_MARKER = EndMarker()
 
 
-@dataclass(frozen=True, slots=True)
-class Item:
-    """One dotted production with the models of its realised children.
-
-    ``models`` has one entry per symbol left of the dot: the empty model
-    for terminals, the completed subtree's exported atoms for
-    nonterminals.
-    """
-
-    prod_id: int
-    dot: int
-    origin: int
-    models: tuple
-
-
 class Session:
     """Per-decode shared caches and instrumentation counters.
 
@@ -61,7 +67,9 @@ class Session:
     projections, which share annotation fragments but not backgrounds, so
     the memo key names both the fragment and the background index.  Keys
     hold ``id``s; every keyed object is kept alive in ``_pinned`` so that
-    no id is reused while the memo lives.
+    no id is reused while the memo lives.  Live-chart nodes are interned
+    per grammar and forest cap in the ``_Parser`` of each, which lives as
+    long as some state of that parse does.
     """
 
     def __init__(self):
@@ -71,6 +79,7 @@ class Session:
         self.violation_log = None  # list of (prod_id, violated ids) when set
         self._backgrounds = {}  # id(background fragment) -> indexed model
         self._pinned = {}  # id -> object named by an id in a memo key
+        self._parsers = weakref.WeakValueDictionary()  # (id(grammar), cap) -> _Parser
 
     def background_index(self, fragment):
         """Indexed model of a background fragment, built once per Session
@@ -108,155 +117,260 @@ class Session:
         self._pinned[id(background)] = background
         return result
 
+    def _parser(self, grammar, forest_cap):
+        parser = self._parsers.get((id(grammar), forest_cap))
+        if parser is None:
+            parser = _Parser(grammar, self, forest_cap)
+            self._parsers[(id(grammar), forest_cap)] = parser
+        return parser
+
+
+class _Parser:
+    """What every state of one (grammar, Session, forest cap) shares,
+    including the table of its live-chart nodes."""
+
+    __slots__ = (
+        "grammar",
+        "session",
+        "forest_cap",
+        "background_index",
+        "steps",
+        "heads",
+        "annotations",
+        "charts",
+        "__weakref__",
+    )
+
+    def __init__(self, grammar, session, forest_cap):
+        self.grammar = grammar
+        self.session = session
+        self.forest_cap = forest_cap
+        self.background_index = session.background_index(grammar.background)
+        self.steps = grammar.steps
+        self.heads = tuple(p.head for p in grammar.productions)
+        self.annotations = tuple(p.annotation for p in grammar.productions)
+        # (canonical live items, ((distance, node), ...)) -> _Chart
+        self.charts = weakref.WeakValueDictionary()
+
+    def advance(self, prod_id, dot, origin, models, model):
+        """Advance the dot over one realised child: (item, export model of
+        a now complete item or None), or (None, None) if unsatisfiable."""
+        models = models + (model,)
+        arity = len(self.steps[prod_id])
+        result = self.session.evaluate(
+            self.annotations[prod_id], models, arity, self.background_index
+        )
+        if result.status == UNSAT:
+            self._log(prod_id, result)
+            return None, None
+        export = result.model if dot + 1 == arity else None
+        return (prod_id, dot + 1, origin, models), export
+
+    def predict(self, prod_id, index):
+        """(item, export) predicting a production at ``index``; an empty
+        body is complete at once, and None when its annotation fails."""
+        if self.steps[prod_id]:
+            return (prod_id, 0, index, ()), None
+        result = self.session.evaluate(
+            self.annotations[prod_id], (), 0, self.background_index
+        )
+        if result.status == UNSAT:
+            self._log(prod_id, result)
+            return None
+        return (prod_id, 0, index, ()), result.model
+
+    def _log(self, prod_id, result):
+        if self.session.violation_log is not None:
+            self.session.violation_log.append((prod_id, result.violated))
+
+
+class _Chart:
+    """Node of one live chart (see the module docstring).
+
+    ``scans`` and ``waits`` index the open items, with canonical origins,
+    by the terminal or nonterminal after their dot; ``finals`` holds the
+    full parses.  ``key`` is None while the node is private to the states
+    that built it, and once it is shared, (the live items, pairs of each
+    distance back an origin lies with the node found there).  ``succ``
+    maps a terminal to a weak reference to the next node, or to
+    ``_DEAD``.
+    """
+
+    __slots__ = (
+        "scans",
+        "waits",
+        "finals",
+        "key",
+        "succ",
+        "valid",
+        "complete",
+        "__weakref__",
+    )
+
+    def __init__(self, scans, waits, finals):
+        self.scans = scans
+        self.waits = waits
+        self.finals = finals
+        self.key = None
+        self.succ = {}
+        self.valid = None
+        self.complete = None
+
 
 class ParseState:
     """Immutable snapshot of the recognizer after a terminal prefix.
 
-    States share chart structure: extending copies only the new item set.
+    ``_path`` holds the live-chart nodes of the earlier positions.  Until
+    the state's own node is built, ``_items`` holds its closed item set,
+    with absolute origins.
     """
 
-    __slots__ = (
-        "grammar",
-        "prefix",
-        "chart",
-        "background_index",
-        "session",
-        "forest_cap",
-        "_succ",
-        "_valid",
-        "_complete",
-    )
+    __slots__ = ("parser", "prefix", "_path", "_items", "_chart", "_succ", "__weakref__")
 
-    def __init__(self, grammar, prefix, chart, background_index, session, forest_cap):
-        self.grammar = grammar
+    def __init__(self, parser, prefix, path, items, chart):
+        self.parser = parser
         self.prefix = prefix
-        self.chart = chart
-        self.background_index = background_index
-        self.session = session
-        self.forest_cap = forest_cap
+        self._path = path
+        self._items = items
+        self._chart = chart
         self._succ = {}
-        self._valid = None
-        self._complete = None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ParseState)
-            and self.grammar is other.grammar
-            and self.prefix == other.prefix
-            and self.chart == other.chart
-        )
-
-    def __hash__(self):
-        return hash((id(self.grammar), self.prefix))
 
 
 def init(grammar, session=None, forest_cap=DEFAULT_FOREST_CAP):
     session = session or Session()
-    background_index = session.background_index(grammar.background)
-    items = set()
-    _predict_start(grammar, items, session, background_index)
-    _close_set(grammar, (), items, 0, session, background_index, forest_cap)
-    state = ParseState(
-        grammar, (), (frozenset(items),), background_index, session, forest_cap
-    )
-    return state
-
-
-def _predict_start(grammar, items, session, background_index):
+    parser = session._parser(grammar, forest_cap)
+    seeds = []
     for p in grammar.by_head(grammar.start):
-        items.add(Item(p.prod_id, 0, 0, ()))
+        seed = parser.predict(p.prod_id, 0)
+        if seed is not None:
+            seeds.append(seed)
+    return ParseState(parser, (), (), _close_set(parser, (), 0, seeds), None)
 
 
-def _advance(grammar, item, model, session, background_index):
-    """Advance the dot over one realised child; None if unsatisfiable."""
-    prod = grammar.productions[item.prod_id]
-    models = item.models + (model,)
-    result = session.evaluate(
-        prod.annotation, models, len(prod.body), background_index
-    )
-    if result.status == UNSAT:
-        if session.violation_log is not None:
-            session.violation_log.append((item.prod_id, result.violated))
-        return None, None
-    new = Item(item.prod_id, item.dot + 1, item.origin, models)
-    export = result.model if new.dot == len(prod.body) else None
-    return new, export
-
-
-def _close_set(grammar, chart, items, index, session, background_index, cap):
+def _close_set(parser, path, index, seeds):
     """Run prediction and completion to fixpoint over item set ``index``.
 
-    ``chart`` holds the earlier (frozen) item sets; ``items`` is mutated.
-    Completed subtrees spanning zero input are handled by replaying their
-    exports against items added later in the same pass.
+    ``seeds`` holds (item, export) pairs, the export being the model of a
+    complete item and None for an open one; ``path[o]`` is the node of
+    each earlier position o.  An item joins the set only once its
+    annotation holds, so the set only grows and the forest cap fires
+    exactly when the closure exceeds it, in whatever order it is built.
     """
-    completed_here = {}  # nonterminal -> set of export models, origin == index
-    exports = {}  # completed item -> export model
-    work = list(items)
+    steps, heads, cap = parser.steps, parser.heads, parser.forest_cap
+    by_head = parser.grammar.by_head
+    items = set()
+    work = []
+    waiting = {}  # nonterminal -> items of this set waiting on it
+    completed = {}  # (nonterminal, origin) -> export models seen
+    predicted = set()
 
     def add(item, export):
         if item in items:
-            if export is not None and item not in exports:
-                exports[item] = export
-                work.append(item)
             return
         if len(items) >= cap:
             raise ForestOverflow(
                 f"more than {cap} live derivations at position {index}"
             )
         items.add(item)
-        if export is not None:
-            exports[item] = export
-        work.append(item)
+        work.append((item, export))
 
+    for item, export in seeds:
+        add(item, export)
     while work:
-        item = work.pop()
-        prod = grammar.productions[item.prod_id]
-        if item.dot < len(prod.body):
-            sym = prod.body[item.dot]
-            if sym.kind != NONTERMINAL:
+        item, export = work.pop()
+        prod_id, dot, origin, models = item
+        step = steps[prod_id]
+        if dot < len(step):
+            terminal, name = step[dot]
+            if terminal:
                 continue
-            for p in grammar.by_head(sym.name):
-                add(Item(p.prod_id, 0, index, ()), None)
-            for model in completed_here.get(sym.name, ()):
-                new, export = _advance(grammar, item, model, session, background_index)
+            waiting.setdefault(name, []).append(item)
+            if name not in predicted:
+                predicted.add(name)
+                for p in by_head(name):
+                    seed = parser.predict(p.prod_id, index)
+                    if seed is not None:
+                        add(*seed)
+            for model in completed.get((name, index), ()):
+                new, new_export = parser.advance(prod_id, dot, origin, models, model)
                 if new is not None:
-                    add(new, export)
+                    add(new, new_export)
             continue
-        # completed item
-        export = exports.get(item)
-        if export is None:
-            result = session.evaluate(
-                prod.annotation, item.models, len(prod.body), background_index
-            )
-            if result.status == UNSAT:
-                if session.violation_log is not None:
-                    session.violation_log.append((item.prod_id, result.violated))
-                items.discard(item)
-                continue
-            export = result.model
-            exports[item] = export
-        head = prod.head
-        if item.origin == index:
-            known = completed_here.setdefault(head, set())
-            if export in known:
-                continue
-            known.add(export)
-            parents = list(items)
-        else:
-            parents = chart[item.origin]
-        for parent in parents:
-            pprod = grammar.productions[parent.prod_id]
-            if (
-                parent.dot < len(pprod.body)
-                and pprod.body[parent.dot].kind == NONTERMINAL
-                and pprod.body[parent.dot].name == head
-            ):
-                new, pexport = _advance(
-                    grammar, parent, export, session, background_index
-                )
+        # completed item: advance every parent waiting on its head at its
+        # origin, once per distinct export
+        head = heads[prod_id]
+        seen = completed.setdefault((head, origin), set())
+        if export in seen:
+            continue
+        seen.add(export)
+        if origin == index:
+            for p, d, o, m in list(waiting.get(head, ())):
+                new, new_export = parser.advance(p, d, o, m, export)
                 if new is not None:
-                    add(new, pexport)
+                    add(new, new_export)
+            continue
+        for p, d, c, m in path[origin].waits.get(head, ()):
+            new, new_export = parser.advance(
+                p, d, 0 if c < 0 else origin - c, m, export
+            )
+            if new is not None:
+                add(new, new_export)
+    return items
+
+
+def _alive(parser, items):
+    """A set is alive if some derivation past its first symbol is still
+    open, or a full parse of the whole prefix exists.  Completed non-start
+    items whose every parent combination failed do not keep it alive."""
+    steps, heads, start = parser.steps, parser.heads, parser.grammar.start
+    for prod_id, dot, origin, _ in items:
+        n = len(steps[prod_id])
+        if 0 < dot < n or (dot == n and origin == 0 and heads[prod_id] == start):
+            return True
+    return False
+
+
+def _chart_of(state):
+    """Index the state's closed item set as a private live chart, on first
+    use; callers read ``state._chart`` first."""
+    parser = state.parser
+    steps = parser.steps
+    index = len(state.prefix)
+    scans, waits, finals = {}, {}, []
+    for prod_id, dot, origin, models in state._items:
+        step = steps[prod_id]
+        if dot == len(step):
+            # a completed item is read again only as a full parse
+            if not origin and parser.heads[prod_id] == parser.grammar.start:
+                finals.append((prod_id, dot, -1, models))
+            continue
+        terminal, name = step[dot]
+        item = (prod_id, dot, index - origin if origin else -1, models)
+        (scans if terminal else waits).setdefault(name, []).append(item)
+    chart = state._chart = _Chart(scans, waits, finals)
+    state._items = None
+    return chart
+
+
+def _shared_chart(state):
+    """The state's live-chart node as interned in its parser's table, and
+    linked from its parent's node."""
+    chart = state._chart or _chart_of(state)
+    if chart.key is not None:
+        return chart
+    items = frozenset(chain(chart.finals, *chart.scans.values(), *chart.waits.values()))
+    index = len(state.prefix)
+    path = state._path
+    back = sorted({c for _, _, c, _ in items if c > 0})
+    key = (items, tuple([(c, path[index - c]) for c in back]))
+    shared = state.parser.charts.get(key)
+    if shared is None:
+        chart.key = key
+        shared = state.parser.charts[key] = chart
+    state._chart = shared
+    if index:
+        path[-1].succ[state.prefix[-1]] = weakref.ref(shared)
+    return shared
 
 
 def extend(state, terminal):
@@ -266,41 +380,31 @@ def extend(state, terminal):
         if cached is _DEAD:
             raise InvalidExtension(terminal, len(state.prefix))
         return cached
-    grammar = state.grammar
-    session = state.session
-    index = len(state.prefix) + 1
-    items = set()
-    for item in state.chart[-1]:
-        prod = grammar.productions[item.prod_id]
-        if item.dot < len(prod.body):
-            sym = prod.body[item.dot]
-            if sym.kind == TERMINAL and sym.name == terminal:
-                new, export = _advance(
-                    grammar, item, EMPTY_MODEL, session, state.background_index
-                )
-                if new is not None:
-                    items.add(new)
-    if items:
-        _close_set(
-            grammar,
-            state.chart,
-            items,
-            index,
-            session,
-            state.background_index,
-            state.forest_cap,
-        )
-    if not _alive(grammar, items):
+    chart = state._chart or _chart_of(state)
+    link = chart.succ.get(terminal)
+    if link is _DEAD:
         state._succ[terminal] = _DEAD
         raise InvalidExtension(terminal, len(state.prefix))
-    new_state = ParseState(
-        grammar,
-        state.prefix + (terminal,),
-        state.chart + (frozenset(items),),
-        state.background_index,
-        session,
-        state.forest_cap,
-    )
+    parser = state.parser
+    path = state._path + (chart,)
+    prefix = state.prefix + (terminal,)
+    known = link() if link is not None else None
+    if known is not None:
+        new_state = ParseState(parser, prefix, path, None, known)
+    else:
+        index = len(state.prefix)
+        seeds = []
+        for p, d, c, m in chart.scans.get(terminal, ()):
+            new, export = parser.advance(
+                p, d, 0 if c < 0 else index - c, m, EMPTY_MODEL
+            )
+            if new is not None:
+                seeds.append((new, export))
+        items = seeds and _close_set(parser, path, index + 1, seeds)
+        if not items or not _alive(parser, items):
+            chart.succ[terminal] = state._succ[terminal] = _DEAD
+            raise InvalidExtension(terminal, len(state.prefix))
+        new_state = ParseState(parser, prefix, path, items, None)
     state._succ[terminal] = new_state
     return new_state
 
@@ -312,63 +416,32 @@ class _Dead:
 _DEAD = _Dead()
 
 
-def _alive(grammar, items):
-    """A set is alive if some derivation is still open or a full parse of
-    the whole prefix exists.  Completed non-start items whose every parent
-    combination failed do not keep the set alive."""
-    for item in items:
-        prod = grammar.productions[item.prod_id]
-        if 0 < item.dot < len(prod.body):
-            return True
-        if (
-            item.dot == len(prod.body)
-            and item.origin == 0
-            and prod.head == grammar.start
-        ):
-            return True
-    return False
-
-
 def is_complete(state):
     """True iff the prefix itself is a word of the language."""
-    if state._complete is None:
-        state._complete = _has_full_parse(state)
-    return state._complete
+    chart = state._chart or _chart_of(state)
+    if chart.complete is None:
+        chart.complete = _has_full_parse(state.parser, chart)
+    return chart.complete
 
 
-def _has_full_parse(state):
-    grammar = state.grammar
-    for item in state.chart[-1]:
-        prod = grammar.productions[item.prod_id]
-        if (
-            item.dot == len(prod.body)
-            and item.origin == 0
-            and prod.head == grammar.start
-        ):
-            result = state.session.evaluate(
-                prod.annotation,
-                item.models,
-                len(prod.body),
-                state.background_index,
-            )
-            if result.status == SAT:
-                return True
+def _has_full_parse(parser, chart):
+    for prod_id, dot, _, models in chart.finals:
+        result = parser.session.evaluate(
+            parser.annotations[prod_id], models, dot, parser.background_index
+        )
+        if result.status == SAT:
+            return True
     return False
 
 
 def valid_terminals(state):
     """All terminals with a surviving extension, plus the end marker when
     the current prefix is already a complete word."""
-    if state._valid is not None:
-        return state._valid
-    grammar = state.grammar
-    candidates = set()
-    for item in state.chart[-1]:
-        prod = grammar.productions[item.prod_id]
-        if item.dot < len(prod.body) and prod.body[item.dot].kind == TERMINAL:
-            candidates.add(prod.body[item.dot].name)
+    chart = _shared_chart(state)
+    if chart.valid is not None:
+        return chart.valid
     out = set()
-    for t in candidates:
+    for t in chart.scans:
         try:
             extend(state, t)
         except (InvalidExtension, ForestOverflow):
@@ -376,8 +449,8 @@ def valid_terminals(state):
         out.add(t)
     if is_complete(state):
         out.add(END_MARKER)
-    state._valid = frozenset(out)
-    return state._valid
+    chart.valid = frozenset(out)
+    return chart.valid
 
 
 def accepts(grammar, word, session=None, forest_cap=DEFAULT_FOREST_CAP):

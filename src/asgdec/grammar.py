@@ -10,6 +10,7 @@ included).  ``%`` starts a comment running to end of line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from .errors import AsgReferenceError, AsgSyntaxError, StratificationError
@@ -54,6 +55,14 @@ class Grammar:
 
     def by_head(self, name):
         return self._by_head.get(name, ())
+
+    @cached_property
+    def steps(self):
+        """Per production, (is terminal, name) of each body symbol."""
+        return tuple(
+            tuple((s.kind == TERMINAL, s.name) for s in p.body)
+            for p in self.productions
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -242,14 +242,7 @@ def _token_path(tree, node):
 def _make_child(tree, node, action, reward, cfg, stats):
     if action == EOS_ID:
         child = SearchNode(node.state, node.cursor, node.terminals, node.depth + 1)
-        result = _result(tree, child, COMPLETED)
-        child.terminal_reward = reward.of(child.terminals, True)
-        child.rollout = (child.terminal_reward, result)
-        child.expanded = True
-        child.priors = {}
-        child.exhausted = True
-        child.exact_value = child.terminal_reward
-        return child
+        return _leaf(tree, child, reward, COMPLETED)
     state, cursor, emitted = _timed(
         stats, align.apply_token, node.state, tree.token_map, node.cursor, action
     )
@@ -264,13 +257,7 @@ def _make_child(tree, node, action, reward, cfg, stats):
         tok = next(iter(forced))
         if tok == EOS_ID:
             child = SearchNode(state, cursor, terminals, depth + 1)
-            child.terminal_reward = reward.of(terminals, True)
-            child.rollout = (child.terminal_reward, _result(tree, child, COMPLETED))
-            child.expanded = True
-            child.priors = {}
-            child.exhausted = True
-            child.exact_value = child.terminal_reward
-            return child
+            return _leaf(tree, child, reward, COMPLETED)
         state, cursor, emitted = _timed(
             stats, align.apply_token, state, tree.token_map, cursor, tok
         )
@@ -279,20 +266,25 @@ def _make_child(tree, node, action, reward, cfg, stats):
         depth += 1
     child = SearchNode(state, cursor, terminals, depth)
     if child.depth >= cfg.max_depth:
-        child.terminal_reward = reward.of(terminals, False)
-        child.rollout = (child.terminal_reward, _result(tree, child, MAX_LENGTH))
-        child.expanded = True
-        child.priors = {}
-        child.exhausted = True
-        child.exact_value = child.terminal_reward
+        _leaf(tree, child, reward, MAX_LENGTH)
     return child
+
+
+def _leaf(tree, node, reward, outcome):
+    """Close ``node`` as a leaf whose word ends there (at EOS, a dead end
+    or the depth cap), so that its value is exact."""
+    value = reward.of(node.terminals, outcome == COMPLETED)
+    node.terminal_reward = node.exact_value = value
+    node.rollout = (value, _result(tree, node, outcome))
+    node.expanded = node.exhausted = True
+    node.priors = {}
+    return node
 
 
 def _argmax_pool(ids, weights):
     """Token ids tied (within float tolerance) for the highest weight."""
-    ids = np.asarray(ids)
-    weights = np.asarray(weights, dtype=np.float64)
-    return ids[weights >= np.max(weights) - 1e-12]
+    top = max(weights) - 1e-12
+    return [i for i, w in zip(ids, weights) if w >= top]
 
 
 def _single_token_terminals(token_map):
@@ -310,11 +302,10 @@ def _distance_ties(pool, cursor, terminals, rho, singles, rng):
     blindly.  Tokens whose effect on the word is not immediate (mid-terminal
     subwords) score as the unchanged word; remaining ties stay random."""
     if len(pool) == 1:
-        return int(pool[0])
+        return pool[0]
     here = None
     scored = []
     for tok in pool:
-        tok = int(tok)
         if tok == EOS_ID:
             cost = abs(rho(tuple(terminals)))
         elif cursor.at_boundary and tok in singles:
@@ -336,12 +327,7 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
     if node.rollout is not None:
         return node.rollout
     if not node.priors:  # dead end discovered at expansion
-        value = reward.of(node.terminals, False)
-        node.terminal_reward = value
-        node.rollout = (value, _result(tree, node, DEAD_END))
-        node.exhausted = True
-        node.exact_value = value
-        return node.rollout
+        return _leaf(tree, node, reward, DEAD_END).rollout
     stats.rollouts += 1
     state, cursor, terminals = node.state, node.cursor, list(node.terminals)
     singles = _single_token_terminals(tree.token_map)
@@ -392,10 +378,12 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
             order = sorted(valid)
             pool = _argmax_pool(order, [node.priors[a] for a in order])
         else:
+            # the argmax of the renormalised distribution is the argmax of
+            # the raw log-probabilities over the valid ids
             ctx = PolicyContext(tree.prompt_ids, tuple(ids))
-            dist = policy.next_distribution(ctx)
-            vids, lp = masked_logprobs(dist, valid)
-            pool = _argmax_pool(vids, lp)
+            logprobs = policy.next_distribution(ctx).logprobs
+            order = sorted(valid)
+            pool = _argmax_pool(order, [float(logprobs[a]) for a in order])
         tok = _distance_ties(pool, cursor, terminals, reward.rho, singles, rng)
         rest = set(valid)
         rest.discard(tok)

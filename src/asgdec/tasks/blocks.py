@@ -314,20 +314,30 @@ _ACTION = re.compile(
 )
 
 
+def _parse_action(part):
+    """Action tuple of one action text; None when malformed."""
+    m = _ACTION.fullmatch(part)
+    if not m:
+        return None
+    if m.group(1):
+        return (m.group(1), m.group(2))
+    return (m.group(3), m.group(4), m.group(5))
+
+
+def _action_texts(text):
+    """The non-empty action texts of a word, without its final "end"."""
+    body = text[:-3].rstrip(", ") if text.endswith("end") else text
+    return [part for part in body.split(", ") if part]
+
+
 def parse_plan(text):
     """Action tuples from the word text; None when malformed."""
-    body = text[:-3].rstrip(", ") if text.endswith("end") else text
     actions = []
-    for part in body.split(", "):
-        if not part:
-            continue
-        m = _ACTION.fullmatch(part)
-        if not m:
+    for part in _action_texts(text):
+        action = _parse_action(part)
+        if action is None:
             return None
-        if m.group(1):
-            actions.append((m.group(1), m.group(2)))
-        else:
-            actions.append((m.group(3), m.group(4), m.group(5)))
+        actions.append(action)
     return actions
 
 
@@ -355,22 +365,40 @@ def blocks_check(params, word):
 
 def blocks_rho(params, alpha=0.01, unreachable_penalty=100):
     """Distance to goal of the reached state (additive relaxation) plus a
-    small plan-length penalty; zero exactly on valid goal-reaching plans."""
+    small plan-length penalty; zero exactly on valid goal-reaching plans.
+
+    The plan is replayed until its first inapplicable action; a malformed
+    plan, including one that ends inside an action, counts as the empty
+    plan.  Action texts and (state, action) successors are memoised."""
     init, goal = _params_sets(params)
     h_of = {}  # state -> h_add to the goal; 3 blocks reach at most 22 states
+    action_of = {}  # action text -> action tuple, or None when malformed
+    next_of = {}  # (state, action) -> successor state, or None
 
     def rho(word):
-        if blocks_check(params, word):
-            return 0.0
-        actions = parse_plan("".join(word)) or []
+        text = "".join(word)
+        actions = []
+        for part in _action_texts(text):
+            if part not in action_of:
+                action_of[part] = _parse_action(part)
+            action = action_of[part]
+            if action is None:
+                actions = None
+                break
+            actions.append(action)
+        solved = actions is not None and text.endswith("end")
         state = init
         used = 0
-        for a in actions:
-            nxt = apply_action(state, a)
+        for a in actions or ():
+            if (state, a) not in next_of:
+                next_of[state, a] = apply_action(state, a)
+            nxt = next_of[state, a]
             if nxt is None:
                 break
             state = nxt
             used += 1
+        if solved and used == len(actions) and goal <= state:
+            return 0.0
         h = h_of.get(state)
         if h is None:
             try:

@@ -281,6 +281,82 @@ def test_blocks_rho_decreases_along_reference_plan():
     assert rho(()) > 0
 
 
+def reference_blocks_rho(params, alpha=0.01, unreachable_penalty=100):
+    """``blocks_rho`` before the memoisation of action texts and
+    successors: every call parses the whole plan and replays it."""
+    init, goal = blocks._params_sets(params)
+    h_of = {}
+
+    def rho(word):
+        if blocks.blocks_check(params, word):
+            return 0.0
+        actions = blocks.parse_plan("".join(word)) or []
+        state = init
+        used = 0
+        for a in actions:
+            nxt = blocks.apply_action(state, a)
+            if nxt is None:
+                break
+            state = nxt
+            used += 1
+        h = h_of.get(state)
+        if h is None:
+            try:
+                h = blocks.h_add(state, goal)
+            except blocks.UnreachableGoal:
+                h = unreachable_penalty
+            h_of[state] = h
+        return max(h, 1) * 1.0 + alpha * used if h == 0 else h + alpha * used
+
+    return rho
+
+
+def _random_plan_word(rng, params, terminals):
+    """A word of whole actions, mostly applicable ones, possibly cut short
+    mid-action or ended with "end"; one time in four, random terminals."""
+    if rng.random() < 0.25:
+        return tuple(rng.choice(terminals) for _ in range(rng.randrange(12)))
+    state, _ = blocks._params_sets(params)
+    actions = blocks._actions(blocks.BLOCKS)
+    word = []
+    for _ in range(rng.randrange(9)):
+        fit = [a for a in actions if blocks.apply_action(state, a) is not None]
+        action = rng.choice(fit if rng.random() < 0.8 else actions)
+        state = blocks.apply_action(state, action) or state
+        word += [action[0] + " ", action[1]]
+        if len(action) == 3:
+            word += [" ", action[2]]
+        word.append(", ")
+    if rng.random() < 0.5:
+        word.append("end")
+    if rng.random() < 0.3:
+        word = word[: rng.randrange(len(word) + 1)]
+    return tuple(word)
+
+
+def test_blocks_rho_matches_its_unmemoised_reference():
+    import random
+
+    rng = random.Random(0)
+    for inst in generate_instances("blocksworld", 5, seed=0):
+        terminals = sorted(inst.grammar().terminals)
+        rho, ref = blocks.blocks_rho(inst.params), reference_blocks_rho(inst.params)
+        words = [reference_solution(inst), ()]
+        words += [_random_plan_word(rng, inst.params, terminals) for _ in range(2000)]
+        for word in words:
+            assert rho(word) == ref(word), word
+
+
+def test_blocks_rho_scores_a_word_ending_mid_action_as_the_empty_plan():
+    # kept behaviour: parse_plan rejects the partial action, so the whole
+    # word counts as the empty plan
+    inst = generate_instances("blocksworld", 3, seed=0)[2]
+    rho = blocks.blocks_rho(inst.params)
+    word = ("unstack ", "blue", " ", "red", ", ")
+    assert rho(word) == 7.01
+    assert rho(word + ("putdown ",)) == rho(()) == 4.0
+
+
 def test_plan_grammar_stops_at_goal():
     # after the goal is reached only "end" parses; extra actions are pruned
     inst = generate_instances("blocksworld", 1, seed=5)[0]
