@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Check that two source trees give the same outputs on the benchmark's
-operations.
+operations and parse the task grammars the same way.
 
 Runs one pass of every operation of the four perfbench workloads against
 this checkout's ``src/`` and against another tree's, each in its own
 process and both with this checkout's ``perfbench/``.  Per operation it
 compares the token ids (verdicts for ``verify_words``), the outcome, and
-whether the operation failed and as which kept fault.  Prints one line per
-workload and seed, and exits 1 on any difference.
+whether the operation failed and as which kept fault.  The ``grammars``
+check parses every task's instances at the seed, plus the packaged
+``.asg`` files, and compares the printed grammar, the start symbol, the
+terminals, and every production id, fragment name and rule id.  Prints one
+line per check and seed, and exits 1 on any difference.
 
 Usage:
     python scripts/same_outputs.py --other ../parent/src --seeds 5 7 11
     python scripts/same_outputs.py --other ../parent/src --workloads mcts_search
+    python scripts/same_outputs.py --other ../parent/src --workloads grammars \
+        --seeds 0 1 2 3 4 5 6 7 8 9
 """
 
 import argparse
@@ -22,7 +27,35 @@ import sys
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("sample_sem", "json_subword", "mcts_search", "verify_words")
+WORKLOADS = ("sample_sem", "json_subword", "mcts_search", "verify_words", "grammars")
+GRAMMAR_INSTANCES = 6  # per task and seed
+
+
+def grammar_rows(seed):
+    """One row per grammar, in the shape of an operation's row, with the
+    parse in place of the token ids."""
+    import asgdec
+    from asgdec.grammar import format_grammar, load_grammar
+    from asgdec.tasks import TASK_IDS, generate_instances
+
+    grammars = [
+        (inst.instance_id, inst.grammar())
+        for task in TASK_IDS
+        for inst in generate_instances(task, GRAMMAR_INSTANCES, seed=seed)
+    ]
+    packaged = os.path.join(os.path.dirname(asgdec.__file__), "grammars")
+    for name in sorted(os.listdir(packaged)):
+        grammars.append((name, load_grammar(os.path.join(packaged, name))))
+    rows = []
+    for label, g in grammars:
+        fragments = [(p.prod_id, p.annotation) for p in g.productions]
+        parse = [
+            format_grammar(g), g.start, sorted(g.terminals),
+            [[k, f.name, [r.rule_id for r in f.rules]]
+             for k, f in fragments + [("background", g.background)]],
+        ]
+        rows.append([label, parse, "grammar", True, None])
+    return rows
 
 
 def dump(src, workload, seed):
@@ -32,6 +65,9 @@ def dump(src, workload, seed):
 
     if not os.path.abspath(asgdec.__file__).startswith(src + os.sep):
         raise SystemExit(f"error: asgdec imported from {asgdec.__file__}, not {src}")
+    if workload == "grammars":
+        json.dump(grammar_rows(seed), sys.stdout)
+        return
     from workloads import WORKLOADS as SETUPS
 
     rows = []
@@ -89,7 +125,8 @@ def main():
             same = not diff and faults == other_faults
             differ = differ or not same
             print(
-                f"seed {seed} {workload}: {len(mine)} operations, "
+                f"seed {seed} {workload}: {len(mine)} "
+                f"{'grammars' if workload == 'grammars' else 'operations'}, "
                 f"{'same' if same else 'DIFFERENT'}; kept faults {dict(faults)}"
                 + ("" if faults == other_faults else f" vs {dict(other_faults)}")
                 + (f"; first differences: {diff[:5]}" if diff else "")

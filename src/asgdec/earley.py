@@ -34,7 +34,7 @@ import weakref
 from itertools import chain
 
 from .errors import BackgroundUnsat, ForestOverflow, InvalidExtension
-from .logic import SAT, UNSAT, SatResult, evaluate_node, index_model
+from .logic import SAT, UNSAT, SatResult, evaluate_node
 
 DEFAULT_FOREST_CAP = 4096
 
@@ -65,7 +65,8 @@ class Session:
 
     One Session may serve several grammars, e.g. a grammar and its
     projections, which share annotation fragments but not backgrounds, so
-    the memo key names both the fragment and the background index.  Keys
+    the memo key names both the fragment and the background index, which
+    each grammar builds once (``Grammar.background_index``).  Keys
     hold ``id``s; every keyed object is kept alive in ``_pinned`` so that
     no id is reused while the memo lives.  Live-chart nodes are interned
     per grammar and forest cap in the ``_Parser`` of each, which lives as
@@ -77,23 +78,8 @@ class Session:
         self.node_evals = 0
         self.eval_cache_hits = 0
         self.violation_log = None  # list of (prod_id, violated ids) when set
-        self._backgrounds = {}  # id(background fragment) -> indexed model
         self._pinned = {}  # id -> object named by an id in a memo key
         self._parsers = weakref.WeakValueDictionary()  # (id(grammar), cap) -> _Parser
-
-    def background_index(self, fragment):
-        """Indexed model of a background fragment, built once per Session
-        so that memo keys naming it hold across decodes."""
-        index = self._backgrounds.get(id(fragment))
-        if index is None:
-            result = evaluate_node(fragment, [], {})
-            if result.status == UNSAT:
-                raise BackgroundUnsat(
-                    f"background constraint {result.violated} is violated"
-                )
-            index = self._backgrounds[id(fragment)] = index_model(result.model)
-            self._pinned[id(fragment)] = fragment
-        return index
 
     def evaluate(self, fragment, models, arity, background):
         """``evaluate_node`` memoised on what it reads: the fragment, the
@@ -145,7 +131,7 @@ class _Parser:
         self.grammar = grammar
         self.session = session
         self.forest_cap = forest_cap
-        self.background_index = session.background_index(grammar.background)
+        self.background_index = grammar.background_index
         self.steps = grammar.steps
         self.heads = tuple(p.head for p in grammar.productions)
         self.annotations = tuple(p.annotation for p in grammar.productions)

@@ -36,10 +36,6 @@ class LogicEvalError(AsgError):
     """Runtime error during rule evaluation (bad arithmetic, unsafe rule)."""
 
 
-class OracleTooLarge(AsgError):
-    """Brute-force enumeration asked for more atoms than it can handle."""
-
-
 class BackgroundUnsat(AsgError):
     """The background program alone is inconsistent."""
 

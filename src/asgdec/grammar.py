@@ -4,7 +4,9 @@ A grammar file lists productions ``head -> sym sym { rules } | ...``,
 terminals as double-quoted literals, and an optional ``#background { ... }``
 block.  Each alternative may carry a logic annotation in braces; ``@k`` in a
 rule body refers to the k-th right-hand-side symbol (1-indexed, terminals
-included).  ``%`` starts a comment running to end of line.
+included).  ``%`` starts a comment running to end of line.  The file is
+read by the logic module's one tokenizer and cursor, which parses each
+annotation block in place.  A grammar indexes its background once.
 """
 
 from __future__ import annotations
@@ -13,8 +15,18 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
-from .errors import AsgReferenceError, AsgSyntaxError, StratificationError
-from .logic import EMPTY_FRAGMENT, LogicFragment, check_stratified, parse_rules
+from .errors import AsgReferenceError, AsgSyntaxError, BackgroundUnsat, StratificationError
+from .logic import (
+    EMPTY_FRAGMENT,
+    UNSAT,
+    LogicFragment,
+    _RuleParser,
+    check_stratified,
+    evaluate_node,
+    format_rule,
+    index_model,
+    tokenize,
+)
 
 TERMINAL = "terminal"
 NONTERMINAL = "nonterminal"
@@ -64,184 +76,64 @@ class Grammar:
             for p in self.productions
         )
 
+    @cached_property
+    def background_index(self):
+        """Indexed model of the background, built once per grammar.  An
+        inconsistent background raises ``BackgroundUnsat`` every time,
+        since a raising ``cached_property`` stores nothing."""
+        result = evaluate_node(self.background, [], {})
+        if result.status == UNSAT:
+            raise BackgroundUnsat(f"background constraint {result.violated} is violated")
+        return index_model(result.model)
+
 
 # ---------------------------------------------------------------------------
-# Source scanner: top-level structure only; brace blocks are captured raw
-# and handed to the logic-rule parser with their source position.
+# Parser.
 
-
-class _Scanner:
-    def __init__(self, source):
-        self.src = source
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, k=1):
-        for _ in range(k):
-            if self.src[self.i] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.i += 1
-
-    def tokens(self):
-        out = []
-        src = self.src
-        while self.i < len(src):
-            c = src[self.i]
-            if c in " \t\r\n":
-                self._advance()
-                continue
-            if c == "%":
-                while self.i < len(src) and src[self.i] != "\n":
-                    self._advance()
-                continue
-            line, col = self.line, self.col
-            if src.startswith("->", self.i):
-                out.append(("arrow", "->", line, col))
-                self._advance(2)
-                continue
-            if c == "|":
-                out.append(("bar", "|", line, col))
-                self._advance()
-                continue
-            if src.startswith("#background", self.i):
-                out.append(("background", "#background", line, col))
-                self._advance(len("#background"))
-                continue
-            if c == '"':
-                self._advance()
-                buf = []
-                while self.i < len(src) and src[self.i] != '"':
-                    if src[self.i] == "\\" and self.i + 1 < len(src):
-                        self._advance()
-                        buf.append(src[self.i])
-                    else:
-                        buf.append(src[self.i])
-                    self._advance()
-                if self.i >= len(src):
-                    raise AsgSyntaxError("unterminated terminal literal", line, col)
-                self._advance()
-                text = "".join(buf)
-                if not text:
-                    raise AsgSyntaxError("empty terminal literal", line, col)
-                out.append(("literal", text, line, col))
-                continue
-            if c == "{":
-                self._advance()
-                start = self.i
-                bline, bcol = self.line, self.col
-                depth = 1
-                while self.i < len(src):
-                    ch = src[self.i]
-                    if ch == '"':
-                        self._advance()
-                        while self.i < len(src) and src[self.i] != '"':
-                            self._advance(2 if src[self.i] == "\\" else 1)
-                        if self.i >= len(src):
-                            raise AsgSyntaxError("unterminated string", bline, bcol)
-                        self._advance()
-                        continue
-                    if ch == "%":
-                        while self.i < len(src) and src[self.i] != "\n":
-                            self._advance()
-                        continue
-                    if ch == "{":
-                        depth += 1
-                    elif ch == "}":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    self._advance()
-                if depth != 0:
-                    raise AsgSyntaxError("unterminated '{' block", line, col)
-                body = src[start : self.i]
-                self._advance()  # closing brace
-                out.append(("block", (body, bline, bcol), line, col))
-                continue
-            if c.isalpha() or c == "_":
-                j = self.i
-                while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                out.append(("ident", src[self.i : j], line, col))
-                self._advance(j - self.i)
-                continue
-            raise AsgSyntaxError(f"unexpected character {c!r}", line, col)
-        return out
+_NAMES = ("ident", "var")
 
 
 def parse_grammar(source):
-    toks = _Scanner(source).tokens()
-    pos = 0
-
-    def peek(k=0):
-        return toks[pos + k] if pos + k < len(toks) else ("eof", None, -1, -1)
-
+    cursor = _RuleParser(tokenize(source))
     productions = []
-    background = EMPTY_FRAGMENT
-    seen_background = False
-
-    while pos < len(toks):
-        kind, val, line, col = peek()
-        if kind == "background":
-            if seen_background:
+    background = None
+    while not cursor.at_end():
+        if cursor.at("#background"):
+            line, col = cursor.next()[2:]
+            if background is not None:
                 raise AsgSyntaxError("duplicate #background block", line, col)
-            pos += 1
-            bkind, bval, bl, bc = peek()
-            if bkind != "block":
-                raise AsgSyntaxError("expected '{' after #background", bl, bc)
-            pos += 1
-            text, tline, tcol = bval
-            background = LogicFragment(
-                parse_rules(text, "background", tline, tcol), "background"
-            )
-            seen_background = True
+            background = cursor.block("background")
             continue
-        if kind != "ident":
-            raise AsgSyntaxError(f"expected production head, found {val!r}", line, col)
-        head = val
-        pos += 1
-        akind, aval, al, ac = peek()
-        if akind != "arrow":
-            raise AsgSyntaxError(f"expected '->' after {head!r}", al, ac)
-        pos += 1
-
+        tok = cursor.next()
+        if tok[0] not in _NAMES:
+            cursor.fail("expected production head", tok)
+        head = tok[1]
+        if not cursor.at("->"):
+            cursor.fail(f"expected '->' after {head!r}", cursor.peek())
+        cursor.next()
         while True:  # one alternative per iteration
             body = []
-            annotation = EMPTY_FRAGMENT
             while True:
-                kind, val, line, col = peek()
-                if kind == "ident" and peek(1)[0] == "arrow":
-                    break  # next production starts
-                if kind == "ident":
-                    body.append(Symbol(NONTERMINAL, val))
-                    pos += 1
-                elif kind == "literal":
+                kind, val, line, col = cursor.peek()
+                if kind == "str":
+                    if not val:
+                        raise AsgSyntaxError("empty terminal literal", line, col)
                     body.append(Symbol(TERMINAL, val))
-                    pos += 1
-                elif kind == "block":
-                    text, tline, tcol = val
-                    name = f"p{len(productions)}"
-                    annotation = LogicFragment(
-                        parse_rules(text, name, tline, tcol), name
-                    )
-                    pos += 1
-                    break
+                elif kind in _NAMES and not cursor.at("->", k=1):
+                    body.append(Symbol(NONTERMINAL, val))
                 else:
-                    break  # bar / background / eof
-            productions.append(
-                Production(head, tuple(body), annotation, len(productions))
-            )
-            if peek()[0] == "bar":
-                pos += 1
-                continue
-            break
+                    break  # block / bar / next production / background / eof
+                cursor.next()
+            name = f"p{len(productions)}"
+            annotation = cursor.block(name) if cursor.at("{") else EMPTY_FRAGMENT
+            productions.append(Production(head, tuple(body), annotation, len(productions)))
+            if not cursor.at("|"):
+                break
+            cursor.next()
 
     if not productions:
         raise AsgSyntaxError("grammar has no productions", 1, 1)
-    return _finalize(productions, productions[0].head, background)
+    return _finalize(productions, productions[0].head, background or EMPTY_FRAGMENT)
 
 
 def _finalize(productions, start, background):
@@ -302,19 +194,10 @@ def csg_projection(g):
 
 
 def format_grammar(g):
-    from .logic import format_rule
-
     lines = []
-    by_head = {}
-    order = []
-    for p in g.productions:
-        if p.head not in by_head:
-            by_head[p.head] = []
-            order.append(p.head)
-        by_head[p.head].append(p)
-    for head in order:
+    for head, prods in g._by_head.items():
         alts = []
-        for p in by_head[head]:
+        for p in prods:
             syms = " ".join(repr(s) for s in p.body)
             rules = " ".join(format_rule(r) for r in p.annotation.rules)
             block = "{ " + rules + " }" if rules else "{}"

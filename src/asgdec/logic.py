@@ -5,13 +5,16 @@ failure (stratified), integer arithmetic (+, -, *), comparison builtins,
 tuple terms and quoted-string constants.  Child parse-tree nodes are
 addressed with ``@k`` suffixes on body literals; during partial-tree
 evaluation rules that (transitively, through negation) depend on a child
-that has not been realised yet are deferred rather than enforced.
+that has not been realised yet are deferred rather than enforced.  The
+module also holds the one tokenizer of grammar and rule text and the
+cursor that parses rules, which the grammar parser drives too.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import re
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional
@@ -123,206 +126,194 @@ def format_rule(rule):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser for the textual rule syntax.
+# One tokenizer and one token cursor for grammar files and rule text alike.
 
-_TWO_CHAR = (":-", "!=", "<=", ">=")
-_ONE_CHAR = "().,@+-*<>="
+_TOKEN = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|%[^\n]*)
+    |(?P<str>"(?:[^"\\]|\\.)*")
+    |(?P<int>[0-9]+)
+    |(?P<name>[^\W\d]\w*)
+    |(?P<op>:-|!=|<=|>=|->|\#background|[().,@+\-*<>=|{}])
+    |(?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def tokenize_rules(text, line0=1, col0=1):
-    """Yield (kind, value, line, col) tokens. kind in
-    ident/var/int/str/op."""
-    i, n = 0, len(text)
-    line, col = line0, col0
+def tokenize(text):
+    """(kind, value, line, col) tokens of grammar or rule text, ending in
+    an ``eof`` token; kind is ident/var/int/str/op.  Integers are ASCII
+    digits; an identifier starts with a letter or ``_`` and is a variable
+    when that is upper case or ``_``."""
     toks = []
-
-    def advance(k):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "op":
+            toks.append(("op", value, line, col))
+        elif kind == "name" and (value[0].isalpha() or value[0] == "_"):
+            kind = "var" if value[0].isupper() or value[0] == "_" else "ident"
+            toks.append((kind, value, line, col))
+        elif kind == "str":
+            toks.append(("str", _ESCAPE.sub(r"\1", value[1:-1]), line, col))
+        elif kind == "int":
+            toks.append(("int", int(value), line, col))
+        elif kind != "skip":
+            if value == '"':
                 raise AsgSyntaxError("unterminated string", line, col)
-            toks.append(("str", "".join(buf), line, col))
-            advance(j + 1 - i)
-            continue
-        if text[i : i + 2] in _TWO_CHAR:
-            toks.append(("op", text[i : i + 2], line, col))
-            advance(2)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j]), line, col))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "var" if (c.isupper() or c == "_") else "ident"
-            toks.append((kind, word, line, col))
-            advance(j - i)
-            continue
-        if c in _ONE_CHAR:
-            toks.append(("op", c, line, col))
-            advance(1)
-            continue
-        raise AsgSyntaxError(f"unexpected character {c!r}", line, col)
+            raise AsgSyntaxError(f"unexpected character {value[0]!r}", line, col)
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = m.start() + value.rindex("\n") + 1
+    toks.append(("eof", None, line, len(text) - line_start + 1))
     return toks
 
 
 class _RuleParser:
+    """Cursor over a token list.  Punctuation matches on kind and value,
+    so a quoted string is never taken for it.  ``block`` parses one
+    ``{ ... }`` block of rules in place."""
+
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.brace = None  # the '{' token of the block being parsed
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else ("eof", None, -1, -1)
+    def peek(self, k=0):
+        """The k-th token from the cursor; k > 0 only before the final eof."""
+        return self.toks[self.pos + k]
 
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def expect(self, value):
-        kind, val, line, col = self.next()
-        if val != value:
-            raise AsgSyntaxError(f"expected {value!r}, found {val!r}", line, col)
+    def at(self, *values, k=0):
+        """Whether the k-th token from the cursor is punctuation in values."""
+        tok = self.toks[self.pos + k]
+        return tok[0] == "op" and tok[1] in values
 
     def at_end(self):
-        return self.pos >= len(self.toks)
+        return self.toks[self.pos][0] == "eof"
+
+    def next(self):
+        tok = self.toks[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
+        elif self.brace is not None:
+            raise AsgSyntaxError("unterminated '{' block", *self.brace[2:])
+        return tok
+
+    def expect(self, value):
+        tok = self.next()
+        if tok[:2] != ("op", value):
+            self.fail(f"expected {value!r}", tok)
+        return tok
+
+    def integer(self, message):
+        tok = self.next()
+        if tok[0] != "int":
+            self.fail(message, tok)
+        return tok[1]
+
+    @staticmethod
+    def fail(message, tok):
+        kind, value, line, col = tok
+        found = "end of input" if kind == "eof" else repr(f'"{value}"' if kind == "str" else value)
+        raise AsgSyntaxError(f"{message}, found {found}", line, col)
 
     # -- terms ------------------------------------------------------------
     def parse_term(self):
         left = self.parse_simple_term()
-        while self.peek()[1] in ("+", "-", "*") and self.peek()[0] == "op":
+        while self.at("+", "-", "*"):
             op = self.next()[1]
-            right = self.parse_simple_term()
-            left = Arith(op, left, right)
+            left = Arith(op, left, self.parse_simple_term())
         return left
 
     def parse_simple_term(self):
-        kind, val, line, col = self.next()
-        if kind == "int":
+        tok = self.next()
+        kind, val = tok[:2]
+        if kind in ("int", "ident"):
             return val
         if kind == "str":
             return QStr(val)
         if kind == "var":
             return Var(val)
-        if kind == "ident":
-            return val
-        if val == "-":
-            k2, v2, l2, c2 = self.next()
-            if k2 != "int":
-                raise AsgSyntaxError("expected integer after unary minus", l2, c2)
-            return -v2
-        if val == "(":
-            items = [self.parse_term()]
-            while self.peek()[1] == ",":
-                self.next()
-                items.append(self.parse_term())
-            self.expect(")")
-            if len(items) == 1:
-                return items[0]
-            return Tup(tuple(items))
-        raise AsgSyntaxError(f"unexpected token {val!r} in term", line, col)
+        if tok[:2] == ("op", "-"):
+            return -self.integer("expected integer after unary minus")
+        if tok[:2] != ("op", "("):
+            self.fail("unexpected token in term", tok)
+        items = self.parse_terms()
+        return items[0] if len(items) == 1 else Tup(tuple(items))
+
+    def parse_terms(self):
+        """Comma-separated terms up to a closing ')', the '(' consumed."""
+        items = [self.parse_term()]
+        while self.at(","):
+            self.next()
+            items.append(self.parse_term())
+        self.expect(")")
+        return items
 
     # -- literals ---------------------------------------------------------
     def parse_literal(self):
-        neg = False
-        if self.peek() == ("ident", "not", self.peek()[2], self.peek()[3]) or (
-            self.peek()[0] == "ident" and self.peek()[1] == "not"
-        ):
+        """An atom ``pred[(terms)][@k]``, or a comparison between terms,
+        after an optional ``not``."""
+        neg = self.peek()[:2] == ("ident", "not")
+        if neg:
             self.next()
-            neg = True
-        # try an atom: ident [ ( terms ) ] [@k], else a comparison
-        kind, val, line, col = self.peek()
-        if kind == "ident":
-            save = self.pos
+        kind, pred = self.peek()[:2]
+        if kind != "ident" or self.at(*COMPARISONS, k=1):
+            left = self.parse_term()
+            if not self.at(*COMPARISONS):
+                self.fail("expected comparison operator", self.peek())
+            op = self.next()[1]
+            return Literal(op, (left, self.parse_term()), neg=neg, builtin=op)
+        self.next()
+        args, child = (), None
+        if self.at("("):
             self.next()
-            pred = val
-            args = ()
-            if self.peek()[1] == "(":
-                self.next()
-                items = [self.parse_term()]
-                while self.peek()[1] == ",":
-                    self.next()
-                    items.append(self.parse_term())
-                self.expect(")")
-                args = tuple(items)
-            if self.peek()[1] in COMPARISONS and self.peek()[0] == "op":
-                # it was actually the left side of a comparison
-                self.pos = save
-            else:
-                child = None
-                if self.peek()[1] == "@":
-                    self.next()
-                    k2, v2, l2, c2 = self.next()
-                    if k2 != "int":
-                        raise AsgSyntaxError("expected integer after '@'", l2, c2)
-                    child = v2
-                return Literal(pred, args, neg=neg, child=child)
-        left = self.parse_term()
-        k, op, l2, c2 = self.next()
-        if op not in COMPARISONS:
-            raise AsgSyntaxError(f"expected comparison operator, found {op!r}", l2, c2)
-        right = self.parse_term()
-        return Literal(op, (left, right), neg=neg, builtin=op)
+            args = tuple(self.parse_terms())
+        if self.at("@"):
+            self.next()
+            child = self.integer("expected integer after '@'")
+        return Literal(pred, args, neg=neg, child=child)
 
     def parse_rule(self, rule_id):
         head = None
-        if self.peek()[1] != ":-":
+        if not self.at(":-"):
             head = self.parse_literal()
             if head.builtin or head.neg or head.child is not None:
                 raise AsgSyntaxError(
                     "rule head must be a positive plain atom", *self.peek()[2:]
                 )
         body = []
-        if self.peek()[1] == ":-":
+        if self.at(":-"):
             self.next()
             body.append(self.parse_literal())
-            while self.peek()[1] == ",":
+            while self.at(","):
                 self.next()
                 body.append(self.parse_literal())
         self.expect(".")
         return Rule(head, tuple(body), rule_id)
 
+    def rules(self, name):
+        """Rules up to a closing '}' or the end of input, with ids name:k."""
+        out = []
+        while not (self.at("}") or self.at_end()):
+            out.append(self.parse_rule(f"{name}:{len(out)}"))
+        return out
 
-def parse_rules(text, fragment_name="frag", line0=1, col0=1):
-    toks = tokenize_rules(text, line0, col0)
-    parser = _RuleParser(toks)
-    rules = []
-    idx = 0
-    while not parser.at_end():
-        rules.append(parser.parse_rule(f"{fragment_name}:{idx}"))
-        idx += 1
+    def block(self, name):
+        """The fragment of the ``{ rules }`` block at the cursor."""
+        self.brace = self.expect("{")
+        rules = self.rules(name)
+        self.expect("}")
+        self.brace = None
+        return LogicFragment(rules, name)
+
+
+def parse_rules(text, fragment_name="frag"):
+    cursor = _RuleParser(tokenize(text))
+    rules = cursor.rules(fragment_name)
+    if not cursor.at_end():
+        cursor.fail("unexpected token", cursor.peek())
     return rules
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from asgdec.errors import GroundingOverflow, LogicEvalError, OracleTooLarge
+from asgdec.errors import AsgError, GroundingOverflow, LogicEvalError
 from asgdec.logic import (
     DEFAULT_ATOM_CAP,
     DEFERRED,
@@ -25,6 +25,10 @@ from asgdec.logic import (
     Var,
     literal_vars,
 )
+
+
+class OracleTooLarge(AsgError):
+    """Brute-force enumeration asked for more atoms than it can handle."""
 
 
 def eval_ground_term(t, env):

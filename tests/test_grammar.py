@@ -13,6 +13,7 @@ from asgdec.grammar import (
     parse_grammar,
     strip_annotations,
 )
+from asgdec.logic import parse_rules
 
 TOY = """\
 % equal a/b counts, one letter each
@@ -102,3 +103,47 @@ def test_packaged_grammars_load(name):
     g = load_grammar(path)
     assert g.productions
     assert grammars_equal(g, parse_grammar(format_grammar(g)))
+
+
+# (parser, source, error class, line, col): every malformed source is
+# reported where it goes wrong, inside an annotation block as outside it.
+MALFORMED = [
+    (parse_grammar, 's -> "a" { p :- q. ', AsgSyntaxError, 1, 10),  # unterminated block: its '{'
+    (parse_grammar, 's -> "a" { p :- q', AsgSyntaxError, 1, 10),
+    (parse_grammar, 's -> "a" { p :- "q }', AsgSyntaxError, 1, 17),  # unterminated string: its quote
+    (parse_grammar, 's -> "a" { p :- q }', AsgSyntaxError, 1, 19),  # missing '.': the '}'
+    (parse_grammar, 's -> "a" {\n  p :- q.\n  r :- \n}', AsgSyntaxError, 4, 1),
+    (parse_grammar, 's -> "a" { p :- q "." }', AsgSyntaxError, 1, 19),  # a string is no '.'
+    (parse_grammar, 's -> "a" { p :- q. } $', AsgSyntaxError, 1, 22),
+    (parse_grammar, 's -> "a" { p :- { q. } }', AsgSyntaxError, 1, 17),
+    (parse_grammar, 's -> "a', AsgSyntaxError, 1, 6),
+    (parse_grammar, 's -> "" {}', AsgSyntaxError, 1, 6),
+    (parse_grammar, "#background", AsgSyntaxError, 1, 12),
+    (parse_grammar, 's -> "a" {}\n#background {}\n#background {}', AsgSyntaxError, 3, 1),
+    (parse_grammar, 's "a"', AsgSyntaxError, 1, 3),
+    (parse_grammar, '3 -> "a"', AsgSyntaxError, 1, 1),
+    (parse_grammar, 's -> "a" {} t', AsgSyntaxError, 1, 14),
+    (parse_grammar, 's ->\n "a" { p(\u00b2). }', AsgSyntaxError, 2, 10),
+    (parse_grammar, 's -> "a" { p :- q@x. }', AsgSyntaxError, 1, 19),
+    (parse_grammar, "% a comment only\n", AsgSyntaxError, 1, 1),
+    (parse_rules, 'p(X) :- q(X) "," r(X).', AsgSyntaxError, 1, 14),
+    (parse_rules, 'p :- q "."', AsgSyntaxError, 1, 8),
+    (parse_rules, 'p :- X "<" 3.', AsgSyntaxError, 1, 8),
+    (parse_rules, "p(\u00b2).", AsgSyntaxError, 1, 3),  # isdigit(), but no integer
+    (parse_rules, "p(\u0663).", AsgSyntaxError, 1, 3),  # an Arabic-Indic three
+    (parse_rules, "p(1)", AsgSyntaxError, 1, 5),
+    (parse_rules, "p :- q,\n", AsgSyntaxError, 2, 1),
+    (parse_rules, "p. }", AsgSyntaxError, 1, 4),
+    (parse_rules, ":- p(X.", AsgSyntaxError, 1, 7),
+    (parse_rules, "not p :- q.", AsgSyntaxError, 1, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, source, error, line, col", MALFORMED, ids=[repr(m[1]) for m in MALFORMED]
+)
+def test_malformed_source_reported_at_its_position(parse, source, error, line, col):
+    with pytest.raises(error) as info:
+        parse(source)
+    assert type(info.value) is error
+    assert (info.value.line, info.value.col) == (line, col)

@@ -8,7 +8,6 @@ from asgdec.errors import (
     AsgSyntaxError,
     GroundingOverflow,
     LogicEvalError,
-    OracleTooLarge,
     StratificationError,
 )
 from asgdec.logic import (
@@ -24,7 +23,7 @@ from asgdec.logic import (
     parse_rules,
 )
 
-from logic_reference import enumerate_models_bruteforce
+from logic_reference import OracleTooLarge, enumerate_models_bruteforce
 
 
 def frag(text, name="t"):

@@ -179,6 +179,25 @@ def test_session_memo_separates_backgrounds():
     assert not accepts(g, word, session)
 
 
+def test_background_built_once_per_grammar(monkeypatch):
+    from asgdec import earley, grammar
+
+    g = generate_instances("sudoku4", 1, seed=0)[0].grammar()
+    evaluated = []
+    real = earley.evaluate_node
+
+    def counting(fragment, *args):
+        evaluated.append(fragment)
+        return real(fragment, *args)
+
+    for module in (earley, grammar):
+        monkeypatch.setattr(module, "evaluate_node", counting)
+    init(g, Session())
+    init(g, Session())
+    assert g.background.rules
+    assert sum(f is g.background for f in evaluated) == 1
+
+
 def test_background_unsat_rejected():
     g = parse_grammar('s -> "a" {}\n#background { p. :- p. }')
     with pytest.raises(BackgroundUnsat):
