@@ -32,10 +32,6 @@ class GroundingOverflow(AsgError):
     """Ground-atom cap exceeded during evaluation."""
 
 
-class LogicEvalError(AsgError):
-    """Runtime error during rule evaluation (bad arithmetic, unsafe rule)."""
-
-
 class BackgroundUnsat(AsgError):
     """The background program alone is inconsistent."""
 

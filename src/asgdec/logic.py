@@ -8,6 +8,15 @@ evaluation rules that (transitively, through negation) depend on a child
 that has not been realised yet are deferred rather than enforced.  The
 module also holds the one tokenizer of grammar and rule text and the
 cursor that parses rules, which the grammar parser drives too.
+
+A rule body is an unordered conjunction.  A sum over a non-integer or
+outside 64 bits, and an ordering comparison (<, <=, >, >=) over a
+non-integer, are undefined; a binding that meets an undefined value is
+dropped, whether the literal is negated or not (``=`` and ``!=`` compare
+any terms).  A sum inside a positive literal is matched once some order of
+the positives has bound its variables; a rule with no such order never
+fires.  So evaluation never raises on a value, and no verdict depends on
+the order in which bindings are met.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from typing import Optional
 from .errors import (
     AsgSyntaxError,
     GroundingOverflow,
-    LogicEvalError,
     StratificationError,
 )
 
@@ -49,7 +57,7 @@ class QStr:
     text: str
 
     def __repr__(self):
-        return f'"{self.text}"'
+        return '"' + self.text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 @dataclass(frozen=True, slots=True)
@@ -677,30 +685,30 @@ _CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge
 
 
 def _term_fn(t, slots):
-    """env -> value of a term whose variables are all bound."""
+    """env -> value of a term whose variables are all bound, or None when
+    a sum in it is undefined."""
     if isinstance(t, Var):
         return operator.itemgetter(slots[t.name])
     if isinstance(t, Tup):
-        items = [_term_fn(i, slots) for i in t.items]
-        return lambda env: Tup(tuple([f(env) for f in items]))
+        items = _tuple_fn(t.items, slots)
+        return lambda env: None if (v := items(env)) is None else Tup(v)
     if not isinstance(t, Arith):
         return lambda env: t
-    left, right, op, sym = _term_fn(t.left, slots), _term_fn(t.right, slots), _ARITH[t.op], t.op
+    left, right, op = _term_fn(t.left, slots), _term_fn(t.right, slots), _ARITH[t.op]
 
     def arith(env):
         a, b = left(env), right(env)
         if not isinstance(a, int) or not isinstance(b, int):
-            raise LogicEvalError(f"arithmetic over non-integers: {a!r} {sym} {b!r}")
+            return None
         v = op(a, b)
-        if v > 2**63 - 1 or v < -(2**63):
-            raise LogicEvalError("integer overflow in arithmetic")
-        return v
+        return v if -(2**63) <= v <= 2**63 - 1 else None
 
     return arith
 
 
 def _tuple_fn(terms, slots):
-    """env -> tuple of the values of ``terms``, whose variables are bound."""
+    """env -> tuple of the values of ``terms``, whose variables are bound,
+    or None when one of them is undefined."""
     if all(isinstance(t, Var) for t in terms):
         if len(terms) == 1:
             slot = slots[terms[0].name]
@@ -708,7 +716,14 @@ def _tuple_fn(terms, slots):
         if terms:
             return operator.itemgetter(*[slots[t.name] for t in terms])
     fns = [_term_fn(t, slots) for t in terms]
-    return lambda env: tuple([f(env) for f in fns])
+    if not any(_term_has_arith(t) for t in terms):
+        return lambda env: tuple([f(env) for f in fns])
+
+    def values(env):
+        out = tuple([f(env) for f in fns])
+        return None if None in out else out
+
+    return values
 
 
 def _matcher(t, bound, slots):
@@ -725,19 +740,12 @@ def _matcher(t, bound, slots):
             and all(m(v, env) for m, v in zip(subs, value.items))
         )
     f = _term_fn(t, slots)
-
-    def test(value, env):
-        try:
-            return f(env) == value
-        except LogicEvalError:  # an ill-typed sum matches nothing
-            return False
-
-    return test
+    return lambda value, env: f(env) == value
 
 
 def _matchable(args, bound):
     """The bound set after matching ``args`` left to right, or None when a
-    sum meets an unbound variable, so the literal matches nothing."""
+    sum meets an unbound variable, so the literal cannot match yet."""
     bound = set(bound)
 
     def walk(t):
@@ -760,15 +768,14 @@ def _binder(lit, bound):
     return None
 
 
-def _plan_steps(body, positives, checks, bound):
-    """Join order as (kind in pos/check/bind, body index, bound set before,
-    positives left) steps.  A check or binder goes where its variables are
-    first bound, but never ahead of a check that can raise and comes before
-    it in reference order, so a rejected binding has passed or cannot raise
-    every earlier check.  Of the positives that can match, the one with
-    all arguments bound leads, then the most bound arguments, then body
-    order."""
-    bound, todo, pending, steps = set(bound), list(positives), list(checks), []
+def _plan_steps(body, positives, checks):
+    """Join order as (kind in pos/check/bind, body index, bound set before)
+    steps, or None when no order of the positives binds the variables of
+    their sums.  A check or binder goes where its variables are first
+    bound.  Of the positives whose sums the positives before them bind,
+    the one with all arguments bound leads, then the most bound arguments,
+    then body order."""
+    bound, matched, todo, pending, steps = set(), set(), list(positives), list(checks), []
 
     def place():
         j = 0
@@ -776,12 +783,9 @@ def _plan_steps(body, positives, checks, bound):
             lit = body[pending[j]]
             binder = _binder(lit, bound)
             if binder or literal_vars(lit) <= bound:
-                steps.append(("bind" if binder else "check", pending.pop(j),
-                              frozenset(bound), tuple(todo)))
+                steps.append(("bind" if binder else "check", pending.pop(j), frozenset(bound)))
                 bound.update(binder[:1] if binder else ())
                 j = 0
-            elif lit.builtin in _CMP or any(_term_has_arith(a) for a in lit.args):
-                return  # this check can raise
             else:
                 j += 1
 
@@ -791,9 +795,13 @@ def _plan_steps(body, positives, checks, bound):
 
     place()
     while todo:
-        i = max((i for i in todo if _matchable(body[i].args, bound) is not None), key=score)
-        steps.append(("pos", i, frozenset(bound), ()))
-        bound = _matchable(body[i].args, bound)
+        ready = [i for i in todo if _matchable(body[i].args, matched) is not None]
+        if not ready:
+            return None
+        i = max(ready, key=score)
+        steps.append(("pos", i, frozenset(bound)))
+        matched = _matchable(body[i].args, matched)
+        bound |= matched
         todo.remove(i)
         place()
     return steps
@@ -801,23 +809,26 @@ def _plan_steps(body, positives, checks, bound):
 
 def _check_fn(lit, slots):
     """(ctx, env) -> passes, for a builtin or negated literal whose
-    variables are bound; raises LogicEvalError on an ill-typed term."""
+    variables are bound; False when a value it reads is undefined."""
     if not lit.builtin:
         src, pred, args = (_BACKGROUND + lit.child if lit.child else _STORE), lit.pred, _tuple_fn(lit.args, slots)
-        return lambda ctx, env: not ctx[src].holds(pred, args(env))
+        return lambda ctx, env: (a := args(env)) is not None and not ctx[src].holds(pred, a)
     (left, right), neg, op = [_term_fn(a, slots) for a in lit.args], lit.neg, lit.builtin
     if op in ("=", "!="):
         want = (op == "=") != neg
-        return lambda ctx, env: (left(env) == right(env)) == want
+
+        def compare(ctx, env):
+            a, b = left(env), right(env)
+            return a is not None and b is not None and (a == b) == want
+
+        return compare
     cmp = _CMP[op]
 
-    def compare(ctx, env):
+    def order(ctx, env):
         a, b = left(env), right(env)
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise LogicEvalError(f"comparison {op} over non-integers: {a!r}, {b!r}")
-        return cmp(a, b) != neg
+        return isinstance(a, int) and isinstance(b, int) and cmp(a, b) != neg
 
-    return compare
+    return order
 
 
 def _scan(lit, bound, slots, src, run):
@@ -835,11 +846,7 @@ def _scan(lit, bound, slots, src, run):
             tests.append((p, _matcher(a, inner, slots)))
 
     def scan(ctx, env):
-        try:
-            facts = ctx[src].lookup(spec, key(env) if key else ())
-        except LogicEvalError:  # an ill-typed sum matches nothing
-            return False
-        for args in facts:
+        for args in ctx[src].lookup(spec, key(env) if key else ()):
             if len(args) != arity:
                 continue
             for p, slot in binds:
@@ -855,71 +862,47 @@ def _scan(lit, bound, slots, src, run):
     return scan
 
 
-def _guard(lit, kind, bound, slots, run, fallback):
-    """Check or binder step; an ill-typed term hands the binding to
-    ``fallback``, which finishes it in reference order."""
+def _guard(lit, kind, bound, slots, run):
+    """Check or binder step: ``run`` goes on with the bindings that pass."""
     if kind == "check":
         check = _check_fn(lit, slots)
-    else:
-        var, term = _binder(lit, bound)
-        slot, value = slots[var], _term_fn(term, slots)
+        return lambda ctx, env: check(ctx, env) and run(ctx, env)
+    var, term = _binder(lit, bound)
+    slot, value = slots[var], _term_fn(term, slots)
 
-        def check(ctx, env):
-            env[slot] = value(env)
-            return True
+    def bind(ctx, env):
+        env[slot] = v = value(env)
+        return v is not None and run(ctx, env)
 
-    def guard(ctx, env):
-        try:
-            ok = check(ctx, env)
-        except LogicEvalError:
-            return fallback(ctx, env)
-        return ok and run(ctx, env)
-
-    return guard
+    return bind
 
 
 def _compile_rule(rule, local_preds):
-    """ctx -> stop for one rule, or None when the rule can never fire.  The
-    reference order is all positives, then the builtins, then the
-    negations, each in body order; a binding whose early check meets an
-    ill-typed value finishes in it, so LogicEvalError is raised exactly
-    when a complete positive binding reaches the bad term in that order."""
+    """ctx -> stop for one rule, or None when the rule can never fire
+    because no order of its positives binds the variables of their sums."""
     body = rule.body
     positives = [i for i, l in enumerate(body) if not l.neg and not l.builtin]
     checks = [i for i, l in enumerate(body) if l.builtin] + [
         i for i, l in enumerate(body) if l.neg and not l.builtin]
-    bound = set()
-    for i in positives:
-        bound = _matchable(body[i].args, bound)
-        if bound is None:  # a sum meets an unbound variable in body order
-            return None
+    steps = _plan_steps(body, positives, checks)
+    if steps is None:
+        return None
     names = set().union(*map(literal_vars, body + ((rule.head,) if rule.head else ())))
     slots = {v: k for k, v in enumerate(sorted(names))}
-    srcs = {
-        i: _BACKGROUND + body[i].child if body[i].child
-        else _STORE if body[i].pred in local_preds else _BACKGROUND
-        for i in positives
-    }
-    check_fns = [_check_fn(body[i], slots) for i in checks]
     if rule.head is None:
-        emit = lambda ctx, env: True
+        run = lambda ctx, env: True
     else:
         pred, head = rule.head.pred, _tuple_fn(rule.head.args, slots)
-        emit = lambda ctx, env: ctx[_STORE].add(pred, head(env))  # None: go on
-
-    def tail(ctx, env):
-        return all(check(ctx, env) for check in check_fns) and emit(ctx, env)
-
-    def chain(steps, run):
-        for kind, i, bound, todo in reversed(steps):
-            if kind == "pos":
-                run = _scan(body[i], bound, slots, srcs[i], run)
-            else:
-                fallback = chain(_plan_steps(body, todo, (), bound), tail)
-                run = _guard(body[i], kind, bound, slots, run, fallback)
-        return run
-
-    run, n = chain(_plan_steps(body, positives, checks, ()), emit), len(slots)
+        # add returns None, so the join goes on
+        run = lambda ctx, env: (args := head(env)) is not None and ctx[_STORE].add(pred, args)
+    for kind, i, bound in reversed(steps):
+        lit = body[i]
+        if kind == "pos":
+            src = _BACKGROUND + lit.child if lit.child else _STORE if lit.pred in local_preds else _BACKGROUND
+            run = _scan(lit, bound, slots, src, run)
+        else:
+            run = _guard(lit, kind, bound, slots, run)
+    n = len(slots)
     return lambda ctx: run(ctx, [None] * n)
 
 

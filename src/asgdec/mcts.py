@@ -39,13 +39,12 @@ class Reward:
 class SearchConfig:
     budget: int = 50
     beta: float = 1.0
-    max_tokens: int = 256
-    max_depth: int = 256
+    max_tokens: int = 256  # EOS included, as in decoding.generate
     seed: int = 0
 
     def __post_init__(self):
-        if self.budget < 1 or self.max_depth < 1:
-            raise ValueError("budget and max_depth must be >= 1")
+        if self.budget < 1 or self.max_tokens < 1:
+            raise ValueError("budget and max_tokens must be >= 1")
 
 
 @dataclass
@@ -142,6 +141,8 @@ class SearchTree:
         self.token_map = token_map
         self.prompt_ids = tuple(prompt_ids)
         self.session = session or earley.Session()
+        # tokens that spell a whole terminal on their own -> that terminal
+        self.singles = {enc[0]: t for t, enc in token_map.canonical.items() if len(enc) == 1}
         state = earley.init(grammar, self.session)
         self.root = SearchNode(state, AlignCursor(), (), 0)
 
@@ -250,7 +251,7 @@ def _make_child(tree, node, action, reward, cfg, stats):
     depth = node.depth + 1
     # collapse forced moves: while exactly one token is admissible, take it,
     # so tree depth counts decision points rather than raw tokens
-    while depth < cfg.max_depth:
+    while depth < cfg.max_tokens:
         forced = _timed(stats, align.valid_tokens, state, tree.token_map, cursor)
         if len(forced) != 1:
             break
@@ -265,7 +266,7 @@ def _make_child(tree, node, action, reward, cfg, stats):
             terminals = terminals + (emitted,)
         depth += 1
     child = SearchNode(state, cursor, terminals, depth)
-    if child.depth >= cfg.max_depth:
+    if child.depth >= cfg.max_tokens:
         _leaf(tree, child, reward, MAX_LENGTH)
     return child
 
@@ -285,15 +286,6 @@ def _argmax_pool(ids, weights):
     """Token ids tied (within float tolerance) for the highest weight."""
     top = max(weights) - 1e-12
     return [i for i, w in zip(ids, weights) if w >= top]
-
-
-def _single_token_terminals(token_map):
-    """terminal lookup for tokens that spell a whole terminal on their own"""
-    out = {}
-    for term, enc in token_map.canonical.items():
-        if len(enc) == 1:
-            out[enc[0]] = term
-    return out
 
 
 def _distance_ties(pool, cursor, terminals, rho, singles, rng):
@@ -330,7 +322,6 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
         return _leaf(tree, node, reward, DEAD_END).rollout
     stats.rollouts += 1
     state, cursor, terminals = node.state, node.cursor, list(node.terminals)
-    singles = _single_token_terminals(tree.token_map)
     ids = list(_token_path(tree, node))
     outcome = MAX_LENGTH
     steps = node.depth
@@ -384,7 +375,7 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
             logprobs = policy.next_distribution(ctx).logprobs
             order = sorted(valid)
             pool = _argmax_pool(order, [float(logprobs[a]) for a in order])
-        tok = _distance_ties(pool, cursor, terminals, reward.rho, singles, rng)
+        tok = _distance_ties(pool, cursor, terminals, reward.rho, tree.singles, rng)
         rest = set(valid)
         rest.discard(tok)
         if rest:
@@ -400,13 +391,6 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
         )
         if emitted is not None:
             terminals.append(emitted)
-    if outcome == MAX_LENGTH:
-        # the loop never probes the word reached exactly at the cap
-        valid = _timed(stats, align.valid_tokens, state, tree.token_map, cursor)
-        if EOS_ID in valid:
-            cand = reward.of(terminals, True)
-            if best_stop is None or cand > best_stop[0]:
-                best_stop = (cand, ids + [EOS_ID], tuple(terminals), steps + 1)
     value = reward.of(terminals, outcome == COMPLETED)
     if best_stop is not None and best_stop[0] > value:
         value, ids, stop_terminals, steps = best_stop

@@ -1,9 +1,12 @@
 """Reference oracles for ``asgdec.logic``.
 
 ``evaluate_node_reference`` is a direct, uncompiled bottom-up evaluator:
-per stratum, every rule's body is reordered to positives, then builtins,
-then negations, and joined by scanning every fact of each positive
-literal's predicate, until a whole pass derives nothing new.
+per stratum, every rule's body is reordered to positives (each after the
+ones that bind the variables of its sums), then builtins, then negations,
+and joined by scanning every fact of each positive literal's predicate,
+until a whole pass derives nothing new.  A sum or ordering comparison over
+a non-integer, and a sum outside 64 bits, evaluate to None (undefined),
+and a binding that meets None anywhere in its body or head is dropped.
 ``enumerate_models_bruteforce`` lists the answer sets of a ground program
 by trying every interpretation.  Both are slow and simple on purpose; the
 tests compare the compiled evaluator against them.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from asgdec.errors import AsgError, GroundingOverflow, LogicEvalError
+from asgdec.errors import AsgError, GroundingOverflow
 from asgdec.logic import (
     DEFAULT_ATOM_CAP,
     DEFERRED,
@@ -31,21 +34,23 @@ class OracleTooLarge(AsgError):
     """Brute-force enumeration asked for more atoms than it can handle."""
 
 
+class OracleNotGround(AsgError):
+    """Brute-force enumeration was given variables or child references."""
+
+
 def eval_ground_term(t, env):
+    """The value of ``t`` under ``env``, which binds all its variables, or
+    None when a sum in it is undefined."""
     if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise LogicEvalError(f"unbound variable {t.name}")
+        return env[t.name]
     if isinstance(t, Tup):
-        return Tup(tuple(eval_ground_term(i, env) for i in t.items))
+        items = tuple(eval_ground_term(i, env) for i in t.items)
+        return None if None in items else Tup(items)
     if isinstance(t, Arith):
         left = eval_ground_term(t.left, env)
         right = eval_ground_term(t.right, env)
         if not isinstance(left, int) or not isinstance(right, int):
-            raise LogicEvalError(
-                f"arithmetic over non-integers: {left!r} {t.op} {right!r}"
-            )
+            return None
         if t.op == "+":
             v = left + right
         elif t.op == "-":
@@ -53,7 +58,7 @@ def eval_ground_term(t, env):
         else:
             v = left * right
         if v > 2**63 - 1 or v < -(2**63):
-            raise LogicEvalError("integer overflow in arithmetic")
+            return None
         return v
     return t
 
@@ -76,10 +81,7 @@ def _match_term(pattern, value, env):
                 return None
         return env
     if isinstance(pattern, Arith):
-        try:
-            return env if eval_ground_term(pattern, env) == value else None
-        except LogicEvalError:
-            return None
+        return env if eval_ground_term(pattern, env) == value else None
     return env if pattern == value else None
 
 
@@ -126,12 +128,15 @@ class _Store:
 
 
 def _builtin_holds(op, left, right):
+    """Whether the comparison holds, or None when it is undefined."""
+    if left is None or right is None:
+        return None
     if op == "=":
         return left == right
     if op == "!=":
         return left != right
     if not isinstance(left, int) or not isinstance(right, int):
-        raise LogicEvalError(f"comparison {op} over non-integers: {left!r}, {right!r}")
+        return None
     return {"<": left < right, "<=": left <= right, ">": left > right,
             ">=": left >= right}[op]
 
@@ -145,6 +150,10 @@ def _iter_bindings(body, store, child_idx, env):
         args = tuple(eval_ground_term(a, env) for a in lit.args)
         if lit.builtin:
             ok = _builtin_holds(lit.builtin, *args)
+            if ok is None:
+                return
+        elif None in args:
+            return
         elif lit.child is not None:
             ok = args in child_idx[lit.child - 1].get(lit.pred, set())
         else:
@@ -162,11 +171,45 @@ def _iter_bindings(body, store, child_idx, env):
             yield from _iter_bindings(rest, store, child_idx, env2)
 
 
+def _vars(t):
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, Tup):
+        return set().union(*map(_vars, t.items))
+    if isinstance(t, Arith):
+        return _vars(t.left) | _vars(t.right)
+    return set()
+
+
+def _sums_bound(terms, bound):
+    """Whether matching ``terms`` left to right after ``bound`` meets every
+    sum with its variables bound; adds their variables to ``bound``."""
+    for t in terms:
+        if isinstance(t, Tup):
+            if not _sums_bound(t.items, bound):
+                return False
+        elif isinstance(t, Arith) and not _vars(t) <= bound:
+            return False
+        bound |= _vars(t)
+    return True
+
+
 def _reorder_body(body):
+    """The body as positives, builtins, negations; the positives in body
+    order except that each waits for the ones binding its sums.  None when
+    no order of the positives binds them all."""
     pos = [l for l in body if not l.neg and not l.builtin]
     builtins = [l for l in body if l.builtin]
     negs = [l for l in body if l.neg and not l.builtin]
-    return tuple(pos + builtins + negs)
+    order, bound = [], set()
+    while pos:
+        lit = next((l for l in pos if _sums_bound(l.args, set(bound))), None)
+        if lit is None:
+            return None
+        _sums_bound(lit.args, bound)
+        pos.remove(lit)
+        order.append(lit)
+    return tuple(order + builtins + negs)
 
 
 def evaluate_node_reference(fragment, child_models, background, atom_cap=DEFAULT_ATOM_CAP):
@@ -196,16 +239,18 @@ def evaluate_node_reference(fragment, child_models, background, atom_cap=DEFAULT
         while changed:
             changed = False
             for r in by_stratum[s]:
-                for env in _iter_bindings(_reorder_body(r.body), store, child_idx, {}):
+                body = _reorder_body(r.body)
+                for env in _iter_bindings(body, store, child_idx, {}) if body is not None else ():
                     head_args = tuple(eval_ground_term(a, env) for a in r.head.args)
-                    if store.add(r.head.pred, head_args):
+                    if None not in head_args and store.add(r.head.pred, head_args):
                         changed = True
                         if store.count() > atom_cap:
                             raise GroundingOverflow(
                                 f"more than {atom_cap} ground atoms derived"
                             )
     for r in constraints:
-        for _env in _iter_bindings(_reorder_body(r.body), store, child_idx, {}):
+        body = _reorder_body(r.body)
+        for _env in _iter_bindings(body, store, child_idx, {}) if body is not None else ():
             return SatResult(UNSAT, violated=r.rule_id)
     model = frozenset(
         (pred, args) for pred, argset in store.local.items() for args in argset
@@ -239,9 +284,9 @@ def enumerate_models_bruteforce(rules, max_atoms=20):
             if lit.builtin:
                 continue
             if literal_vars(lit):
-                raise LogicEvalError("oracle requires a ground program")
+                raise OracleNotGround("oracle requires a ground program")
             if lit.child is not None:
-                raise LogicEvalError("oracle does not support child references")
+                raise OracleNotGround("oracle does not support child references")
     atoms = sorted(atoms)
     if len(atoms) > max_atoms:
         raise OracleTooLarge(f"{len(atoms)} atoms exceeds the cap of {max_atoms}")

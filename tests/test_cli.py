@@ -112,13 +112,13 @@ def test_report_groups_by_configuration(tmp_path, capsys):
 
 def test_run_records_engine_error_and_finishes_batch(tmp_path, monkeypatch):
     from asgdec import decoding
-    from asgdec.errors import LogicEvalError
+    from asgdec.errors import GroundingOverflow
 
     real = decoding.generate
 
     def flaky(grammar, token_map, policy, prompt_ids, cfg, **kwargs):
         if cfg.seed == 1:  # instance index 1 of a seed-0 batch
-            raise LogicEvalError("injected")
+            raise GroundingOverflow("injected")
         return real(grammar, token_map, policy, prompt_ids, cfg, **kwargs)
 
     monkeypatch.setattr(decoding, "generate", flaky)
@@ -132,7 +132,7 @@ def test_run_records_engine_error_and_finishes_batch(tmp_path, monkeypatch):
     assert code == 0
     records = [json.loads(l) for l in out.read_text().splitlines()]
     assert [r["outcome"] == "error" for r in records] == [False, True, False]
-    assert records[1]["output"].startswith("LogicEvalError")
+    assert records[1]["output"].startswith("GroundingOverflow")
     assert not records[1]["v_cfg"]
 
 

@@ -77,8 +77,9 @@ def test_comments_and_escapes():
 
 
 def test_format_parse_round_trip():
-    g = parse_grammar(TOY)
-    assert grammars_equal(g, parse_grammar(format_grammar(g)))
+    for text in (TOY, 's -> "a" { p("x\\"y\\\\z"). }\n#background { q("\\""). }'):
+        g = parse_grammar(text)
+        assert grammars_equal(g, parse_grammar(format_grammar(g)))
 
 
 def test_strip_annotations_removes_all_logic():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from asgdec.errors import (
     AsgSyntaxError,
     GroundingOverflow,
-    LogicEvalError,
     StratificationError,
 )
 from asgdec.logic import (
@@ -23,7 +22,7 @@ from asgdec.logic import (
     parse_rules,
 )
 
-from logic_reference import OracleTooLarge, enumerate_models_bruteforce
+from logic_reference import OracleNotGround, OracleTooLarge, enumerate_models_bruteforce
 
 
 def frag(text, name="t"):
@@ -69,8 +68,12 @@ def test_parse_negative_integer():
 
 
 def test_format_parse_round_trip():
-    text = 'p(1). q(X,Y) :- p(X), p(Y), X != Y. :- q(1,2). s((a,2),"hi") :- not t.'
+    text = (
+        'p(1). q(X,Y) :- p(X), p(Y), X != Y. :- q(1,2). s((a,2),"hi") :- not t. '
+        r'u("a\"b", "c\\d", "") :- v("\\\"").'
+    )
     rules = parse_rules(text)
+    assert rules[-1].head.args[:2] == (QStr('a"b'), QStr("c\\d"))
     again = parse_rules(" ".join(format_rule(r) for r in rules))
     assert [(r.head, r.body) for r in rules] == [(r.head, r.body) for r in again]
 
@@ -192,13 +195,23 @@ def test_arithmetic_match_needs_bound_variable():
     # X+1 in a body atom cannot invert the sum; X must come from elsewhere
     with pytest.raises(AsgSyntaxError, match="unsafe"):
         frag("n(4). m(X) :- n(X+1).")
-    res = evaluate("n(4). p(3). m(X) :- p(X), n(X+1).")
-    assert ("m", (3,)) in res.model
+    for rule in ("m(X) :- p(X), n(X+1).", "m(X) :- n(X+1), p(X)."):
+        assert ("m", (3,)) in evaluate("n(4). p(3). " + rule).model
+    # no order of the positives binds Y before q(Y+1) reads it
+    assert evaluate("p(1,2). q(3,1). r :- p(X+1,Y), q(Y+1,X).").model == {
+        ("p", (1, 2)), ("q", (3, 1))}
 
 
 def test_arithmetic_type_error():
-    with pytest.raises(LogicEvalError):
-        evaluate("p(a). q(X+1) :- p(X).")
+    # a sum over a symbol is undefined: the binding is dropped, in a head,
+    # a body atom, a negation or a comparison alike
+    res = evaluate("p(a). p(1). q(X+1) :- p(X). r(X) :- p(X), s(X+1). s(2).")
+    assert {a for a in res.model if a[0] in "qr"} == {("q", (2,)), ("r", (1,))}
+    res = evaluate("p(a). p(1). t(X) :- p(X), not s(X+1). u(X) :- p(X), X+1 != 5.")
+    assert {a for a in res.model if a[0] in "tu"} == {("t", (1,)), ("u", (1,))}
+    # a sum outside 64 bits is undefined too
+    res = evaluate(f"p({2**62}). p({2**63}). q(X) :- p(X), X + X = Y, p(Y). r(X) :- p(X), p(X+X).")
+    assert not {a for a in res.model if a[0] in "qr"}
 
 
 def test_grounding_overflow_guard():
@@ -236,7 +249,7 @@ def test_oracle_choice_via_even_loop():
 
 
 def test_oracle_rejects_nonground():
-    with pytest.raises(LogicEvalError):
+    with pytest.raises(OracleNotGround):
         enumerate_models_bruteforce(parse_rules("p(X) :- q(X)."))
 
 

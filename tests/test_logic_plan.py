@@ -1,15 +1,20 @@
 """The compiled evaluator against the reference evaluator in
-``logic_reference``: random non-ground stratified programs, and the
-placement of checks that meet ill-typed values."""
+``logic_reference``: random non-ground stratified programs, and joins
+whose checks meet undefined values, which drop the binding wherever the
+plan places the check."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from asgdec.errors import AsgError, AsgSyntaxError, LogicEvalError, StratificationError
-from asgdec.logic import SAT, LogicFragment, Tup, evaluate_node, parse_rules
+import asgdec
+from asgdec.errors import AsgError, AsgSyntaxError, StratificationError
+from asgdec.logic import SAT, UNSAT, LogicFragment, Tup, evaluate_node, parse_rules
 
 from logic_reference import evaluate_node_reference
 
@@ -22,8 +27,7 @@ VARS = ["X", "Y", "Z"]
 def _arg(rng, bound):
     """A pattern argument: a variable, a constant, a tuple, or a sum.  A
     sum mostly adds to a variable bound earlier in the body; otherwise the
-    rule is unsafe (and skipped) or, with the variable bound later, can
-    never fire."""
+    rule is unsafe (and skipped) or the variable is bound later."""
     roll = rng.random()
     if roll < 0.6:
         return rng.choice(VARS)
@@ -40,7 +44,7 @@ def _rule(rng, head, arity, level, is_constraint):
     """One safe rule: positives bind the variables that the builtins,
     negations and head use.  Positives read any predicate at or below the
     head's level (recursion within a level); negations read strictly lower
-    levels.  Constraints use only checks that cannot raise."""
+    levels."""
     lits, bound = [], set()
     top = level[head] if head is not None else max(level)
     for _ in range(rng.randint(1, 3)):
@@ -69,8 +73,7 @@ def _rule(rng, head, arity, level, is_constraint):
         if not bound:
             break
         x, y = rng.choice(bound), rng.choice(bound)
-        ops = ["=", "!="] if is_constraint else ["=", "!=", "<", "+"]
-        op = rng.choice(ops)
+        op = rng.choice(["=", "!=", "<", "+"])
         if op == "+":
             lits.append(f"{x} = {y} + 1")
         elif op == "<":
@@ -155,16 +158,32 @@ def test_comparison_moved_ahead_of_an_empty_join_does_not_raise():
     assert evaluate_node(_frag("p(a). q :- p(X), s(Y), X < 1."), [], {}).status == SAT
 
 
-def test_comparison_on_a_complete_binding_raises():
-    with pytest.raises(LogicEvalError):
-        evaluate_node(_frag("p(a). s(1). q :- p(X), s(Y), X < 1."), [], {})
+def test_comparison_on_a_complete_binding_drops_it():
+    model = evaluate_node(_frag("p(a). p(0). s(1). q(X) :- p(X), s(Y), X < 1."), [], {}).model
+    assert {a for a in model if a[0] == "q"} == {("q", (0,))}
 
 
-def test_early_check_does_not_hide_an_earlier_raising_check():
-    # the reference order runs Y < 1 (raises on b) before X != a; running
-    # X != a first would reject the only binding without raising
-    with pytest.raises(LogicEvalError):
-        evaluate_node(_frag("p(a). s(b). q :- p(X), s(Y), Y < 1, X != a."), [], {})
+def test_ill_typed_check_drops_the_binding_in_any_order():
+    # Y < 1 is undefined on b, and X != a rejects the binding too; which
+    # check runs first does not matter
+    assert evaluate_node(_frag("p(a). s(b). :- p(X), s(Y), Y < 1, X != a."), [], {}).status == SAT
+    assert evaluate_node(_frag("p(c). s(b). :- p(X), s(Y), not Y < 1, X != a."), [], {}).status == SAT
+    assert evaluate_node(_frag("p(c). s(0). :- p(X), s(Y), Y < 1, X != a."), [], {}).status == UNSAT
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1", "2", "3"])
+def test_verdict_does_not_depend_on_the_hash_seed(hashseed):
+    # the string hashes decide whether p(0) or an ill-typed p(a), p(b)
+    # binding is met first; dropping the ill-typed ones leaves one verdict
+    code = (
+        "from asgdec.logic import LogicFragment, evaluate_node, parse_rules\n"
+        "f = LogicFragment(parse_rules(':- p(X), X < 1.', 't'), 't')\n"
+        "print(evaluate_node(f, [], {'p': {('a',), (0,), ('b',)}}).status)\n"
+    )
+    src = os.path.dirname(os.path.dirname(asgdec.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == UNSAT, out.stderr
 
 
 def test_binder_feeds_an_index_lookup():

@@ -101,7 +101,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(budget=0)
     with pytest.raises(ValueError):
-        SearchConfig(max_depth=0)
+        SearchConfig(max_tokens=0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +180,20 @@ def test_search_solves_copy(copy_grammar):
         assert result.outcome == COMPLETED
         assert copy_check(params, result.terminals)
         assert copy_member(result.terminals)
+
+
+@pytest.mark.parametrize("grammar", ["anbncn_grammar", "copy_grammar"])
+def test_search_stays_within_max_tokens(grammar, request):
+    # EOS counts against the cap, as in decoding.generate
+    g = request.getfixturevalue(grammar)
+    tmap = build_map(g.terminals, TerminalTokenizer(g.terminals))
+    for cap in range(1, 9):
+        for seed in range(4):
+            tree = SearchTree(g, tmap, ())
+            policy = CountingPolicy(UniformPolicy(tmap.vocab_size))
+            reward = Reward(rho=lambda w: abs(len(w) - 6))
+            result, _ = search(tree, policy, reward, SearchConfig(budget=30, max_tokens=cap, seed=seed))
+            assert result.tokens_generated <= cap and len(result.token_ids) <= cap
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,15 @@ def test_background_feeds_annotations():
     assert accepts(g2, ("a",))
 
 
+def test_ill_typed_comparison_leaves_the_terminal_set():
+    # X < 1 is undefined on the symbols, so no binding violates "b"'s
+    # constraint; with p(0) one does
+    g = parse_grammar('s -> "a" {} | "b" { :- p(X), X < 1. }\n#background { p(a). p(2). p(b). }')
+    assert valid_terminals(init(g)) == {"a", "b"}
+    g = parse_grammar('s -> "a" {} | "b" { :- p(X), X < 1. }\n#background { p(a). p(0). p(b). }')
+    assert valid_terminals(init(g)) == {"a"}
+
+
 def test_forest_cap_guards_blowup():
     # ambiguous grammar with exponentially many live derivations
     g = parse_grammar('s -> s s {} | "a" {}')
