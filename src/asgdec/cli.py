@@ -19,7 +19,7 @@ from .decoding import DEAD_END, DecodeConfig, DecodeResult
 from .errors import AsgError, InvalidExtension, UncoverableTerminal
 from .grammar import csg_projection, load_grammar, parse_grammar, strip_annotations
 from .mcts import Reward, SearchConfig, SearchTree
-from .policy import CountingPolicy, NgramPolicy, RemotePolicy, UniformPolicy
+from .policy import NgramPolicy, RemotePolicy, UniformPolicy
 
 ALGOS = ("base", "bon", "mcts")
 POLICIES = ("uniform", "ngram", "remote")
@@ -204,13 +204,12 @@ def run_instance(cfg, index, inst, references):
                 g_run, token_map, policy, (), dcfg, reward_fn, accept_fn
             )
         else:
-            counted = CountingPolicy(policy)
             tree = SearchTree(g_run, token_map, ())
             scfg = SearchConfig(
                 budget=cfg["budget"], max_tokens=cfg["max_tokens"], seed=seed
             )
             result, _ = mcts.search(
-                tree, counted, Reward(rho or (lambda w: 0.0)), scfg
+                tree, policy, Reward(rho or (lambda w: 0.0)), scfg
             )
             if result is None:
                 result = DecodeResult((), "", None, DEAD_END, 0)

@@ -15,17 +15,18 @@ child completes) and its full parses (complete start items from position
 0).  That part, with every origin other than 0 written as a distance back
 from the set's own position, together with the live chart at each earlier
 origin an open item waits on, decides every later item set, mask and
-verdict.  A state indexes its live chart as a ``_Chart`` node when it is
-first extended or masked, never while it is only a trial child.  When it
-is first masked, the node is interned, one per Session, grammar and
-forest cap, in a weak-valued table.  The node keeps the terminal mask and
-the verdict, and weak links to the nodes that follow it, so a state whose
-live chart was already seen reads its mask without trial extensions and
-builds its successors by shifting origins instead of closing a new item
-set.  States hold their nodes, nodes hold only earlier nodes and link to
-later ones weakly, so there are no reference cycles and a dropped state
-frees its chain at once.  A state that is only extended, as in
-``accepts``, never pays for the lookup.
+verdict.  The closure of an item set builds that part as a ``_Chart``
+node as it goes; a full parse joins it only once its annotation holds, so
+the verdict is whether the node has one.  When a state is first masked,
+its node is interned, one per Session, grammar and forest cap, in a
+weak-valued table.  The node keeps the terminal mask, and weak links to
+the nodes that follow it, so a state whose live chart was already seen
+reads its mask without trial extensions and builds its successors by
+shifting origins instead of closing a new item set.  States hold their
+nodes, nodes hold only earlier nodes and link to later ones weakly, so
+there are no reference cycles and a dropped state frees its chain at
+once.  A state that is only extended, as in ``accepts``, never pays for
+the lookup.
 """
 
 from __future__ import annotations
@@ -189,7 +190,6 @@ class _Chart:
         "key",
         "succ",
         "valid",
-        "complete",
         "__weakref__",
     )
 
@@ -200,24 +200,22 @@ class _Chart:
         self.key = None
         self.succ = {}
         self.valid = None
-        self.complete = None
 
 
 class ParseState:
     """Immutable snapshot of the recognizer after a terminal prefix.
 
-    ``_path`` holds the live-chart nodes of the earlier positions.  Until
-    the state's own node is built, ``_items`` holds its closed item set,
-    with absolute origins.
+    ``_chart`` is the live-chart node of the prefix, private until the
+    state is first masked, and ``_path`` holds the nodes of the earlier
+    positions.
     """
 
-    __slots__ = ("parser", "prefix", "_path", "_items", "_chart", "_succ", "__weakref__")
+    __slots__ = ("parser", "prefix", "_path", "_chart", "_succ", "__weakref__")
 
-    def __init__(self, parser, prefix, path, items, chart):
+    def __init__(self, parser, prefix, path, chart):
         self.parser = parser
         self.prefix = prefix
         self._path = path
-        self._items = items
         self._chart = chart
         self._succ = {}
 
@@ -230,23 +228,29 @@ def init(grammar, session=None, forest_cap=DEFAULT_FOREST_CAP):
         seed = parser.predict(p.prod_id, 0)
         if seed is not None:
             seeds.append(seed)
-    return ParseState(parser, (), (), _close_set(parser, (), 0, seeds), None)
+    chart, _ = _close_set(parser, (), 0, seeds)
+    return ParseState(parser, (), (), chart)
 
 
 def _close_set(parser, path, index, seeds):
-    """Run prediction and completion to fixpoint over item set ``index``.
+    """Run prediction and completion to fixpoint over item set ``index``,
+    and return (its live chart, whether it is alive).
 
     ``seeds`` holds (item, export) pairs, the export being the model of a
     complete item and None for an open one; ``path[o]`` is the node of
     each earlier position o.  An item joins the set only once its
     annotation holds, so the set only grows and the forest cap fires
     exactly when the closure exceeds it, in whatever order it is built.
+    The set is alive if some derivation past its first symbol is still
+    open, or a full parse of the whole prefix exists; completed non-start
+    items whose every parent combination failed do not keep it alive.
     """
     steps, heads, cap = parser.steps, parser.heads, parser.forest_cap
-    by_head = parser.grammar.by_head
+    by_head, start = parser.grammar.by_head, parser.grammar.start
+    scans, waits, finals = {}, {}, []
+    alive = False
     items = set()
     work = []
-    waiting = {}  # nonterminal -> items of this set waiting on it
     completed = {}  # (nonterminal, origin) -> export models seen
     predicted = set()
 
@@ -267,10 +271,12 @@ def _close_set(parser, path, index, seeds):
         prod_id, dot, origin, models = item
         step = steps[prod_id]
         if dot < len(step):
+            alive = alive or dot > 0
             terminal, name = step[dot]
+            live = (prod_id, dot, index - origin if origin else -1, models)
+            (scans if terminal else waits).setdefault(name, []).append(live)
             if terminal:
                 continue
-            waiting.setdefault(name, []).append(item)
             if name not in predicted:
                 predicted.add(name)
                 for p in by_head(name):
@@ -282,66 +288,31 @@ def _close_set(parser, path, index, seeds):
                 if new is not None:
                     add(new, new_export)
             continue
-        # completed item: advance every parent waiting on its head at its
-        # origin, once per distinct export
+        # completed item: it is read again only as a full parse; advance
+        # every parent waiting on its head at its origin, once per distinct
+        # export
         head = heads[prod_id]
+        if not origin and head == start:
+            finals.append((prod_id, dot, -1, models))
+            alive = True
         seen = completed.setdefault((head, origin), set())
         if export in seen:
             continue
         seen.add(export)
-        if origin == index:
-            for p, d, o, m in list(waiting.get(head, ())):
-                new, new_export = parser.advance(p, d, o, m, export)
-                if new is not None:
-                    add(new, new_export)
-            continue
-        for p, d, c, m in path[origin].waits.get(head, ()):
+        parents = waits if origin == index else path[origin].waits
+        for p, d, c, m in parents.get(head, ()):
             new, new_export = parser.advance(
                 p, d, 0 if c < 0 else origin - c, m, export
             )
             if new is not None:
                 add(new, new_export)
-    return items
-
-
-def _alive(parser, items):
-    """A set is alive if some derivation past its first symbol is still
-    open, or a full parse of the whole prefix exists.  Completed non-start
-    items whose every parent combination failed do not keep it alive."""
-    steps, heads, start = parser.steps, parser.heads, parser.grammar.start
-    for prod_id, dot, origin, _ in items:
-        n = len(steps[prod_id])
-        if 0 < dot < n or (dot == n and origin == 0 and heads[prod_id] == start):
-            return True
-    return False
-
-
-def _chart_of(state):
-    """Index the state's closed item set as a private live chart, on first
-    use; callers read ``state._chart`` first."""
-    parser = state.parser
-    steps = parser.steps
-    index = len(state.prefix)
-    scans, waits, finals = {}, {}, []
-    for prod_id, dot, origin, models in state._items:
-        step = steps[prod_id]
-        if dot == len(step):
-            # a completed item is read again only as a full parse
-            if not origin and parser.heads[prod_id] == parser.grammar.start:
-                finals.append((prod_id, dot, -1, models))
-            continue
-        terminal, name = step[dot]
-        item = (prod_id, dot, index - origin if origin else -1, models)
-        (scans if terminal else waits).setdefault(name, []).append(item)
-    chart = state._chart = _Chart(scans, waits, finals)
-    state._items = None
-    return chart
+    return _Chart(scans, waits, finals), alive
 
 
 def _shared_chart(state):
     """The state's live-chart node as interned in its parser's table, and
     linked from its parent's node."""
-    chart = state._chart or _chart_of(state)
+    chart = state._chart
     if chart.key is not None:
         return chart
     items = frozenset(chain(chart.finals, *chart.scans.values(), *chart.waits.values()))
@@ -366,7 +337,7 @@ def extend(state, terminal):
         if cached is _DEAD:
             raise InvalidExtension(terminal, len(state.prefix))
         return cached
-    chart = state._chart or _chart_of(state)
+    chart = state._chart
     link = chart.succ.get(terminal)
     if link is _DEAD:
         state._succ[terminal] = _DEAD
@@ -374,10 +345,8 @@ def extend(state, terminal):
     parser = state.parser
     path = state._path + (chart,)
     prefix = state.prefix + (terminal,)
-    known = link() if link is not None else None
-    if known is not None:
-        new_state = ParseState(parser, prefix, path, None, known)
-    else:
+    node = link() if link is not None else None
+    if node is None:
         index = len(state.prefix)
         seeds = []
         for p, d, c, m in chart.scans.get(terminal, ()):
@@ -386,11 +355,11 @@ def extend(state, terminal):
             )
             if new is not None:
                 seeds.append((new, export))
-        items = seeds and _close_set(parser, path, index + 1, seeds)
-        if not items or not _alive(parser, items):
+        node, alive = _close_set(parser, path, index + 1, seeds)
+        if not alive:
             chart.succ[terminal] = state._succ[terminal] = _DEAD
             raise InvalidExtension(terminal, len(state.prefix))
-        new_state = ParseState(parser, prefix, path, items, None)
+    new_state = ParseState(parser, prefix, path, node)
     state._succ[terminal] = new_state
     return new_state
 
@@ -403,21 +372,9 @@ _DEAD = _Dead()
 
 
 def is_complete(state):
-    """True iff the prefix itself is a word of the language."""
-    chart = state._chart or _chart_of(state)
-    if chart.complete is None:
-        chart.complete = _has_full_parse(state.parser, chart)
-    return chart.complete
-
-
-def _has_full_parse(parser, chart):
-    for prod_id, dot, _, models in chart.finals:
-        result = parser.session.evaluate(
-            parser.annotations[prod_id], models, dot, parser.background_index
-        )
-        if result.status == SAT:
-            return True
-    return False
+    """True iff the prefix itself is a word of the language; a full parse
+    joins the live chart only once its annotation holds."""
+    return bool(state._chart.finals)
 
 
 def valid_terminals(state):

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
-from .errors import AsgReferenceError, AsgSyntaxError, BackgroundUnsat, StratificationError
+from .errors import AsgReferenceError, AsgSyntaxError, BackgroundUnsat
 from .logic import (
     EMPTY_FRAGMENT,
     UNSAT,
     LogicFragment,
     _RuleParser,
-    check_stratified,
     evaluate_node,
     format_rule,
     index_model,
@@ -155,11 +154,6 @@ def _finalize(productions, start, background):
             )
     if background.max_child:
         raise AsgReferenceError("background rules may not reference children")
-    report = check_stratified([p.annotation for p in productions] + [background])
-    if not report.ok:
-        raise StratificationError(
-            f"grammar rules are not stratified: {report.describe()}", report.cycles
-        )
     return Grammar(
         productions=tuple(productions),
         start=start,

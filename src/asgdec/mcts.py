@@ -73,7 +73,7 @@ class SearchNode:
         "state",
         "cursor",
         "terminals",
-        "depth",
+        "ids",
         "priors",
         "visits",
         "values",
@@ -85,11 +85,11 @@ class SearchNode:
         "exact_value",
     )
 
-    def __init__(self, state, cursor, terminals, depth):
+    def __init__(self, state, cursor, terminals, ids):
         self.state = state
         self.cursor = cursor
         self.terminals = terminals  # emitted terminal tuple
-        self.depth = depth  # generated token count
+        self.ids = ids  # generated token ids, EOS included
         self.priors = None  # token id -> prior prob
         self.visits = {}
         self.values = {}
@@ -144,7 +144,7 @@ class SearchTree:
         # tokens that spell a whole terminal on their own -> that terminal
         self.singles = {enc[0]: t for t, enc in token_map.canonical.items() if len(enc) == 1}
         state = earley.init(grammar, self.session)
-        self.root = SearchNode(state, AlignCursor(), (), 0)
+        self.root = SearchNode(state, AlignCursor(), (), ())
 
 
 def search(tree, policy, reward, cfg):
@@ -224,59 +224,52 @@ def _expand(tree, node, policy, stats):
         node.expanded = True
         node.priors = {}
         return
-    ctx = PolicyContext(tree.prompt_ids, _token_path(tree, node))
+    ctx = PolicyContext(tree.prompt_ids, node.ids)
     dist = policy.next_distribution(ctx)
     ids, lp = masked_logprobs(dist, valid)
     node.priors = {int(i): float(p) for i, p in zip(ids, np.exp(lp))}
     node.expanded = True
 
 
-def _token_path(tree, node):
-    # reconstruct generated ids from the terminal sequence + buffer
-    out = []
-    for t in node.terminals:
-        out.extend(tree.token_map.canonical[t])
-    out.extend(node.cursor.buffer)
-    return tuple(out)
-
-
 def _make_child(tree, node, action, reward, cfg, stats):
+    ids = node.ids + (action,)
     if action == EOS_ID:
-        child = SearchNode(node.state, node.cursor, node.terminals, node.depth + 1)
-        return _leaf(tree, child, reward, COMPLETED)
+        child = SearchNode(node.state, node.cursor, node.terminals, ids)
+        return _leaf(child, reward, COMPLETED)
     state, cursor, emitted = _timed(
         stats, align.apply_token, node.state, tree.token_map, node.cursor, action
     )
     terminals = node.terminals + (emitted,) if emitted else node.terminals
-    depth = node.depth + 1
     # collapse forced moves: while exactly one token is admissible, take it,
     # so tree depth counts decision points rather than raw tokens
-    while depth < cfg.max_tokens:
+    while len(ids) < cfg.max_tokens:
         forced = _timed(stats, align.valid_tokens, state, tree.token_map, cursor)
         if len(forced) != 1:
             break
         tok = next(iter(forced))
+        ids += (tok,)
         if tok == EOS_ID:
-            child = SearchNode(state, cursor, terminals, depth + 1)
-            return _leaf(tree, child, reward, COMPLETED)
+            child = SearchNode(state, cursor, terminals, ids)
+            return _leaf(child, reward, COMPLETED)
         state, cursor, emitted = _timed(
             stats, align.apply_token, state, tree.token_map, cursor, tok
         )
         if emitted is not None:
             terminals = terminals + (emitted,)
-        depth += 1
-    child = SearchNode(state, cursor, terminals, depth)
-    if child.depth >= cfg.max_tokens:
-        _leaf(tree, child, reward, MAX_LENGTH)
+    child = SearchNode(state, cursor, terminals, ids)
+    if len(ids) >= cfg.max_tokens:
+        _leaf(child, reward, MAX_LENGTH)
     return child
 
 
-def _leaf(tree, node, reward, outcome):
+def _leaf(node, reward, outcome):
     """Close ``node`` as a leaf whose word ends there (at EOS, a dead end
     or the depth cap), so that its value is exact."""
     value = reward.of(node.terminals, outcome == COMPLETED)
     node.terminal_reward = node.exact_value = value
-    node.rollout = (value, _result(tree, node, outcome))
+    text = "".join(node.terminals)
+    result = DecodeResult(node.ids, text, node.terminals, outcome, len(node.ids))
+    node.rollout = (value, result)
     node.expanded = node.exhausted = True
     node.priors = {}
     return node
@@ -319,21 +312,20 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
     if node.rollout is not None:
         return node.rollout
     if not node.priors:  # dead end discovered at expansion
-        return _leaf(tree, node, reward, DEAD_END).rollout
+        return _leaf(node, reward, DEAD_END).rollout
     stats.rollouts += 1
     state, cursor, terminals = node.state, node.cursor, list(node.terminals)
-    ids = list(_token_path(tree, node))
+    ids = list(node.ids)
     outcome = MAX_LENGTH
-    steps = node.depth
     prior_step = True
-    best_stop = None  # (value, ids, terminals, steps) at a completable point
+    best_stop = None  # (value, ids, terminals) at a completable point
     # choice points for bounded backtracking: instead of scoring a dead-end
     # continuation, back up to the last step with untried tokens and take a
     # different branch.  hop cap bounds the total work per rollout.
     frames = []
     pending = None
     hops = 0
-    while steps < cfg.max_tokens:
+    while len(ids) < cfg.max_tokens:
         hops += 1
         if hops > cfg.max_tokens * 8:
             break
@@ -345,7 +337,7 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
             valid = _timed(stats, align.valid_tokens, state, tree.token_map, cursor)
             if not valid:
                 if frames:
-                    state, cursor, n_t, n_i, steps, rest = frames.pop()
+                    state, cursor, n_t, n_i, rest = frames.pop()
                     del terminals[n_t:]
                     del ids[n_i:]
                     pending = rest
@@ -357,12 +349,9 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
         if EOS_ID in valid:
             cand = reward.of(terminals, True)
             if best_stop is None or cand > best_stop[0]:
-                best_stop = (cand, ids + [EOS_ID], tuple(terminals), steps + 1)
+                best_stop = (cand, ids + [EOS_ID], tuple(terminals))
             if cand >= 1.0:
-                tok = EOS_ID
-                prior_step = False
-                ids.append(tok)
-                steps += 1
+                ids.append(EOS_ID)
                 outcome = COMPLETED
                 break
         if prior_step:
@@ -379,10 +368,9 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
         rest = set(valid)
         rest.discard(tok)
         if rest:
-            frames.append((state, cursor, len(terminals), len(ids), steps, rest))
+            frames.append((state, cursor, len(terminals), len(ids), rest))
         prior_step = False
         ids.append(tok)
-        steps += 1
         if tok == EOS_ID:
             outcome = COMPLETED
             break
@@ -393,7 +381,7 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
             terminals.append(emitted)
     value = reward.of(terminals, outcome == COMPLETED)
     if best_stop is not None and best_stop[0] > value:
-        value, ids, stop_terminals, steps = best_stop
+        value, ids, stop_terminals = best_stop
         terminals = list(stop_terminals)
         outcome = COMPLETED
     result = DecodeResult(
@@ -401,19 +389,8 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
         text="".join(terminals),
         terminals=tuple(terminals),
         outcome=outcome,
-        tokens_generated=steps,
+        tokens_generated=len(ids),
         reward=value,
     )
     node.rollout = (value, result)
     return node.rollout
-
-
-def _result(tree, node, outcome):
-    return DecodeResult(
-        token_ids=_token_path(tree, node),
-        text="".join(node.terminals),
-        terminals=node.terminals,
-        outcome=outcome,
-        tokens_generated=node.depth,
-        reward=None,
-    )

@@ -273,7 +273,7 @@ def describe_state(state):
     return "; ".join(parts)
 
 
-def generate_blocksworld(count, seed=0, max_plan=8):
+def generate_blocksworld(count, seed=0):
     rng = random.Random(seed)
     out = []
     i = 0
@@ -283,7 +283,7 @@ def generate_blocksworld(count, seed=0, max_plan=8):
         goal = frozenset(f for f in target if f[0] == "on")
         if not goal or goal <= init:
             continue
-        plan = bfs_plan(init, goal, max_plan)
+        plan = bfs_plan(init, goal, 8)
         if plan is None:
             continue
         prompt = (

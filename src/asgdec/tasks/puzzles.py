@@ -105,10 +105,10 @@ def _sudoku_instance(i, board, holes, rng, grammar):
     )
 
 
-def generate_sudoku3(count, seed=0, holes=4):
+def generate_sudoku3(count, seed=0):
     rng = random.Random(seed)
     return [
-        _sudoku_instance(i, _random_latin3(rng), holes, rng, _sudoku3_grammar)
+        _sudoku_instance(i, _random_latin3(rng), 4, rng, _sudoku3_grammar)
         for i in range(count)
     ]
 
@@ -245,11 +245,11 @@ def _sudoku_reference(inst):
     return tuple(str(_solve_sudoku(board)).replace(" ", ""))
 
 
-def generate_sudoku4(count, seed=0, holes=6):
+def generate_sudoku4(count, seed=0):
     rng = random.Random(seed)
     return [
         _sudoku_instance(
-            i, _solve_sudoku([[0] * 4 for _ in range(4)], rng), holes, rng,
+            i, _solve_sudoku([[0] * 4 for _ in range(4)], rng), 6, rng,
             _sudoku4_grammar,
         )
         for i in range(count)

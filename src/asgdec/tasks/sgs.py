@@ -220,10 +220,10 @@ _PROMPTS = {
 }
 
 
-def generate_anbncn(count, seed=0, max_n=None):
+def generate_anbncn(count, seed=0):
     out = []
     for i in range(count):
-        n = (i % max_n) + 1 if max_n else i + 1
+        n = i + 1
         out.append(
             TaskInstance(
                 task="anbncn",
@@ -236,7 +236,7 @@ def generate_anbncn(count, seed=0, max_n=None):
     return out
 
 
-def generate_ambncmdn(count, seed=0, max_total=None):
+def generate_ambncmdn(count, seed=0):
     rng = random.Random(seed)
     out = []
     i = 0
@@ -261,19 +261,15 @@ def generate_ambncmdn(count, seed=0, max_total=None):
         )
         i += 1
         total += 1
-        if max_total and total > max_total:
-            total = 3
     return out
 
 
-def generate_copy(count, seed=0, max_target=None):
+def generate_copy(count, seed=0):
     out = []
     kinds = ["count_a", "count_b", "product"]
     for i in range(count):
         kind = kinds[i % 3]
         level = i // 3 + 1
-        if max_target:
-            level = (level - 1) % max_target + 1
         params = {"kind": kind}
         if kind == "product":
             params["threshold"] = level

@@ -532,7 +532,7 @@ def test_11_selection_matches_frozen_scores():
             q = values.get(a, 0.0) / n if n else 0.0
             score = q + beta * prior * math.sqrt(total) / (1 + n)
             assert abs(score - expected_scores[a]) < 1e-9, (a, score)
-        node = SearchNode(state=None, cursor=None, terminals=(), depth=0)
+        node = SearchNode(state=None, cursor=None, terminals=(), ids=())
         node.priors = dict(priors)
         node.visits = dict(visits)
         node.values = dict(values)

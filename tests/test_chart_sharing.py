@@ -91,7 +91,7 @@ def _outcome(fn, *args):
 
 def _live_items(state):
     """The state's live items with absolute origins."""
-    chart = state._chart or earley._chart_of(state)
+    chart = state._chart
     index = len(state.prefix)
     canon = [*chart.finals]
     for group in (chart.scans, chart.waits):

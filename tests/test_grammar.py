@@ -2,6 +2,7 @@
 
 import pytest
 
+from asgdec.earley import accepts
 from asgdec.errors import AsgReferenceError, AsgSyntaxError, StratificationError
 from asgdec.grammar import (
     NONTERMINAL,
@@ -69,6 +70,18 @@ def test_empty_terminal_rejected():
 def test_unstratified_annotation_rejected():
     with pytest.raises(StratificationError):
         parse_grammar('s -> "a" { p :- not q. q :- not p. }')
+
+
+@pytest.mark.parametrize(
+    "source, word",
+    [
+        # each fragment is stratified; p and q are local to each fragment
+        ('s -> t "b" { p :- not q. }\nt -> "a" { q :- p. }', ("a", "b")),
+        ('s -> "a" { p :- q. :- not p. }\n#background { q :- not p. }', ("a",)),
+    ],
+)
+def test_fragments_are_stratified_one_at_a_time(source, word):
+    assert accepts(parse_grammar(source), word)
 
 
 def test_comments_and_escapes():

@@ -7,11 +7,13 @@ import pytest
 
 import asgdec.mcts as mcts_mod
 from asgdec import (
+    EOS_ID,
     CountingPolicy,
     Reward,
     SearchConfig,
     SearchTree,
     Session,
+    SubwordTokenizer,
     TerminalTokenizer,
     UniformPolicy,
     build_map,
@@ -26,7 +28,7 @@ from conftest import anbncn_member, copy_member
 
 
 def make_node(priors, visits=None, values=None):
-    node = SearchNode(state=None, cursor=None, terminals=(), depth=0)
+    node = SearchNode(state=None, cursor=None, terminals=(), ids=())
     node.priors = dict(priors)
     node.visits = dict(visits or {})
     node.values = dict(values or {})
@@ -194,6 +196,31 @@ def test_search_stays_within_max_tokens(grammar, request):
             reward = Reward(rho=lambda w: abs(len(w) - 6))
             result, _ = search(tree, policy, reward, SearchConfig(budget=30, max_tokens=cap, seed=seed))
             assert result.tokens_generated <= cap and len(result.token_ids) <= cap
+
+
+def test_result_ids_are_the_generated_tokens():
+    # "ab" has two spellings; the ids and the token count are the ones
+    # generated, not the canonical spelling of the terminals
+    g = parse_grammar('s -> "ab" t {}\nt -> "ab" t {} | "b" {}')
+    tok = SubwordTokenizer(["a", "b", "ab"])
+    tmap = build_map(g.terminals, tok)
+    reward = Reward(rho=lambda w: abs(len(w) - 4))
+    for seed in range(20):
+        tree = SearchTree(g, tmap, ())
+        cfg = SearchConfig(budget=30, max_tokens=12, seed=seed)
+        result, _ = search(tree, UniformPolicy(tmap.vocab_size), reward, cfg)
+        assert len(result.token_ids) == result.tokens_generated
+        assert tok.decode(result.token_ids) == result.text
+
+
+def test_result_closed_at_an_eos_leaf_lists_eos(anbncn_grammar):
+    tmap = build_map(anbncn_grammar.terminals, TerminalTokenizer(anbncn_grammar.terminals))
+    tree = SearchTree(anbncn_grammar, tmap, ())
+    reward = Reward(rho=lambda w: abs(len(w) - 6))
+    cfg = SearchConfig(budget=30, max_tokens=7, seed=2)
+    result, _ = search(tree, UniformPolicy(tmap.vocab_size), reward, cfg)
+    assert result.token_ids == (1, 1, 2, 2, 3, 3, EOS_ID)
+    assert result.tokens_generated == 7
 
 
 # ---------------------------------------------------------------------------
