@@ -5,12 +5,22 @@ token set and renormalizes; greedy mode takes the argmax (ties to the
 lowest token id), sample mode draws with temperature / top-k / top-p
 applied after masking, and best_of_n ranks constraint-surviving samples by
 reward.
+
+The masked distribution is a handful of ids, so it is computed over plain
+lists.  A draw reads one double from the generator and finds it in the
+normalised cdf, ``cumsum(p) / cdf[-1]``, as ``Generator.choice(ids, p=p)``
+does, so a seed draws the tokens that call would.  The math module's exp
+may round a last bit unlike numpy's; that decides a top-p cut only where a
+prefix's mass ties top_p exactly.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -61,35 +71,38 @@ class DecodeResult:
 
 
 def masked_logprobs(dist, valid_ids, temperature=1.0):
-    """Restrict to valid ids and renormalize; returns (ids array, logp)."""
-    ids = np.fromiter(sorted(valid_ids), dtype=np.int64)
-    lp = dist.logprobs[ids] / max(temperature, 1e-9)
-    m = lp.max()
-    lp = lp - (m + np.log(np.exp(lp - m).sum()))
-    return ids, lp
+    """Restrict to valid ids and renormalize; returns (ids, logp), two
+    lists in ascending id order."""
+    ids = sorted(valid_ids)
+    t = max(temperature, 1e-9)
+    return ids, _renormalized([x / t for x in dist.logprobs[ids].tolist()])
+
+
+def _renormalized(lp):
+    m = max(lp)
+    c = m + math.log(sum([math.exp(x - m) for x in lp]))
+    return [x - c for x in lp]
 
 
 def _filter_topk_topp(ids, lp, top_k, top_p):
-    order = np.lexsort((ids, -lp))  # by prob desc, id asc for ties
-    ids, lp = ids[order], lp[order]
-    if top_k is not None and top_k < len(ids):
-        ids, lp = ids[:top_k], lp[:top_k]
+    ranked = sorted(zip(lp, ids), key=lambda e: (-e[0], e[1]))  # by prob desc, id asc for ties
+    if top_k is not None and top_k < len(ranked):
+        ranked = ranked[:top_k]
     if top_p < 1.0:
-        cum = np.exp(lp).cumsum()
-        keep = int(np.searchsorted(cum, top_p) + 1)
-        ids, lp = ids[:keep], lp[:keep]
-    m = lp.max()
-    lp = lp - (m + np.log(np.exp(lp - m).sum()))
-    return ids, lp
+        cum = list(accumulate([math.exp(x) for x, _ in ranked]))
+        ranked = ranked[:bisect_left(cum, top_p) + 1]
+    return [i for _, i in ranked], _renormalized([x for x, _ in ranked])
 
 
 def choose_token(dist, valid_ids, cfg, rng):
     """One draw from the masked distribution."""
     ids, lp = masked_logprobs(dist, valid_ids, 1.0 if cfg.mode == "greedy" else cfg.temperature)
     if cfg.mode == "greedy":
-        return int(ids[lp.argmax()])
+        return ids[lp.index(max(lp))]
     ids, lp = _filter_topk_topp(ids, lp, cfg.top_k, cfg.top_p)
-    return int(rng.choice(ids, p=np.exp(lp)))
+    cdf = list(accumulate([math.exp(x) for x in lp]))
+    total = cdf[-1]
+    return ids[bisect_right([c / total for c in cdf], rng.random())]
 
 
 def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None):

@@ -9,6 +9,17 @@ An item is a plain tuple (production id, dot, origin, models): ``models``
 has one entry per symbol left of the dot, the empty model for terminals
 and the completed subtree's exported atoms for nonterminals.
 
+Exports.  A parent reads a child's atoms only through ``@k`` literals, so
+a complete item exports only the predicates that some production reads
+at a position holding its head (``_Parser.kept``): blocksworld's ``seq``
+keeps ``holds`` and ``met`` and drops its helpers.  No verdict or mask
+changes, and items, completions and memo keys that differed only in unread
+atoms become equal.  Each distinct (kept predicates, model) is projected
+once per Session into a ``Model``, which keeps the ``FactIndex`` its first
+reader builds, so an export is indexed once however often it is read.  A
+forest or grounding overflow propagates out of ``valid_terminals`` and
+``accepts``: a cap never narrows a mask or rejects a word.
+
 Live charts.  Once an item set is closed, only part of it is ever read
 again: its open items (scanned by the next terminal, or advanced when a
 child completes) and its full parses (complete start items from position
@@ -35,11 +46,11 @@ import weakref
 from itertools import chain
 
 from .errors import BackgroundUnsat, ForestOverflow, InvalidExtension
-from .logic import SAT, UNSAT, SatResult, evaluate_node
+from .logic import SAT, UNSAT, Model, SatResult, evaluate_node
 
 DEFAULT_FOREST_CAP = 4096
 
-EMPTY_MODEL = frozenset()
+EMPTY_MODEL = Model()
 _EMPTY_SAT = SatResult(SAT)
 
 
@@ -76,6 +87,7 @@ class Session:
 
     def __init__(self):
         self.eval_memo = {}
+        self.exports = {}  # (kept predicates, model) -> the exported Model
         self.node_evals = 0
         self.eval_cache_hits = 0
         self.violation_log = None  # list of (prod_id, violated ids) when set
@@ -124,6 +136,7 @@ class _Parser:
         "steps",
         "heads",
         "annotations",
+        "kept",
         "charts",
         "__weakref__",
     )
@@ -136,6 +149,12 @@ class _Parser:
         self.steps = grammar.steps
         self.heads = tuple(p.head for p in grammar.productions)
         self.annotations = tuple(p.annotation for p in grammar.productions)
+        read = {}  # nonterminal -> the predicates some production reads of it
+        for p in grammar.productions:
+            for lit in chain.from_iterable(r.body for r in p.annotation.rules):
+                if lit.child and not self.steps[p.prod_id][lit.child - 1][0]:
+                    read.setdefault(p.body[lit.child - 1].name, set()).add(lit.pred)
+        self.kept = tuple(frozenset(read.get(h, ())) for h in self.heads)
         # (canonical live items, ((distance, node), ...)) -> _Chart
         self.charts = weakref.WeakValueDictionary()
 
@@ -150,7 +169,7 @@ class _Parser:
         if result.status == UNSAT:
             self._log(prod_id, result)
             return None, None
-        export = result.model if dot + 1 == arity else None
+        export = self._export(prod_id, result.model) if dot + 1 == arity else None
         return (prod_id, dot + 1, origin, models), export
 
     def predict(self, prod_id, index):
@@ -164,7 +183,16 @@ class _Parser:
         if result.status == UNSAT:
             self._log(prod_id, result)
             return None
-        return (prod_id, 0, index, ()), result.model
+        return (prod_id, 0, index, ()), self._export(prod_id, result.model)
+
+    def _export(self, prod_id, model):
+        """The atoms of ``model`` that some parent reads, as one Model per
+        distinct (kept predicates, model) in the Session."""
+        kept, exports = self.kept[prod_id], self.session.exports
+        export = exports.get((kept, model))
+        if export is None:
+            export = exports[kept, model] = Model([a for a in model if a[0] in kept])
+        return export
 
     def _log(self, prod_id, result):
         if self.session.violation_log is not None:
@@ -379,7 +407,8 @@ def is_complete(state):
 
 def valid_terminals(state):
     """All terminals with a surviving extension, plus the end marker when
-    the current prefix is already a complete word."""
+    the current prefix is already a complete word; raises ForestOverflow
+    when a trial extension exceeds the cap."""
     chart = _shared_chart(state)
     if chart.valid is not None:
         return chart.valid
@@ -387,7 +416,7 @@ def valid_terminals(state):
     for t in chart.scans:
         try:
             extend(state, t)
-        except (InvalidExtension, ForestOverflow):
+        except InvalidExtension:
             continue
         out.add(t)
     if is_complete(state):
@@ -397,7 +426,8 @@ def valid_terminals(state):
 
 
 def accepts(grammar, word, session=None, forest_cap=DEFAULT_FOREST_CAP):
-    """Membership test: every extension survives and the result is complete."""
+    """Membership test: every extension survives and the result is
+    complete; raises ForestOverflow when an extension exceeds the cap."""
     try:
         state = init(grammar, session, forest_cap)
     except BackgroundUnsat:
@@ -407,6 +437,6 @@ def accepts(grammar, word, session=None, forest_cap=DEFAULT_FOREST_CAP):
             return False
         try:
             state = extend(state, t)
-        except (InvalidExtension, ForestOverflow):
+        except InvalidExtension:
             return False
     return is_complete(state)

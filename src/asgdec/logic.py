@@ -499,11 +499,7 @@ class StratReport:
     components: tuple = ()  # strongly connected components, dependencies first
 
     def describe(self):
-        if self.ok:
-            return "ok"
-        return "; ".join(
-            "negation cycle through " + " -> ".join(c) for c in self.cycles
-        )
+        return "; ".join("negation cycle through " + " -> ".join(c) for c in self.cycles) or "ok"
 
 
 def check_stratified(fragments):
@@ -511,9 +507,7 @@ def check_stratified(fragments):
     cycle contains a negative edge.  Tarjan's algorithm emits each
     strongly connected component after every component it reaches, so
     ``components`` comes out in evaluation order."""
-    pos = {}
-    neg = {}
-    nodes = set()
+    pos, neg, nodes = {}, {}, set()
     for frag in fragments:
         nodes |= frag.local_preds
         for hp, key, is_neg in frag.dependency_edges():
@@ -521,12 +515,8 @@ def check_stratified(fragments):
             nodes.add(key)
             (neg if is_neg else pos).setdefault(hp, set()).add(key)
     # find strongly connected components, flag ones with internal neg edge
-    index = {}
-    low = {}
-    onstack = {}
-    stack = []
+    index, low, onstack, stack, sccs = {}, {}, {}, [], []
     counter = itertools.count()
-    sccs = []
 
     def strongconnect(v):
         work = [(v, iter(sorted(pos.get(v, set()) | neg.get(v, set()))))]
@@ -566,12 +556,7 @@ def check_stratified(fragments):
         if v not in index:
             strongconnect(v)
 
-    bad = []
-    for comp in sccs:
-        for v in comp:
-            if neg.get(v, set()) & comp:
-                bad.append(tuple(sorted(comp)))
-                break
+    bad = [tuple(sorted(c)) for c in sccs if any(neg.get(v, set()) & c for v in c)]
     return StratReport(ok=not bad, cycles=tuple(bad), components=tuple(sccs))
 
 
@@ -630,10 +615,20 @@ def _bucket(facts, spec, idx):
     return idx
 
 
+class Model(frozenset):
+    """Atoms that keep their FactIndex once ``index_model`` has built it."""
+
+    __slots__ = ("index",)
+
+
 def index_model(model):
-    idx = FactIndex()
-    for pred, args in model:
-        idx.setdefault(pred, set()).add(args)
+    idx = getattr(model, "index", None)
+    if idx is None:
+        idx = FactIndex()
+        for pred, args in model:
+            idx.setdefault(pred, set()).add(args)
+        if isinstance(model, Model):
+            model.index = idx
     return idx
 
 
@@ -952,7 +947,7 @@ def evaluate_node(fragment, child_models, background, atom_cap=DEFAULT_ATOM_CAP)
     for k in fragment.child_reads:
         m = child_models[k - 1]
         if m is not None:
-            ctx[_BACKGROUND + k] = index_model(m) if isinstance(m, frozenset) else FactIndex(m)
+            ctx[_BACKGROUND + k] = index_model(m)
     atoms = store.atoms
     for recursive, joins in groups:
         grew = True

@@ -227,7 +227,7 @@ def _expand(tree, node, policy, stats):
     ctx = PolicyContext(tree.prompt_ids, node.ids)
     dist = policy.next_distribution(ctx)
     ids, lp = masked_logprobs(dist, valid)
-    node.priors = {int(i): float(p) for i, p in zip(ids, np.exp(lp))}
+    node.priors = {i: math.exp(x) for i, x in zip(ids, lp)}
     node.expanded = True
 
 

@@ -1,9 +1,11 @@
 """Shared live charts: equal to a parser that shares nothing, kept apart
-between a grammar and its projection, and free of reference cycles.
+between a grammar and its projection, and free of reference cycles; and
+projected exports: equal to a parser that exports every predicate.
 
-The reference replaces a Session's node table with a dict that never
+The first reference replaces a Session's node table with a dict that never
 stores, so every state closes its own item sets and finds its own masks
-and verdicts by trial extension."""
+and verdicts by trial extension.  The second replaces a parser's table of
+the predicates each production exports with one that keeps them all."""
 
 import gc
 import weakref
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from asgdec import (
+    END_MARKER,
     Session,
     SearchConfig,
     SearchTree,
@@ -59,6 +62,20 @@ def _reference_init(grammar, session, cap):
     return state
 
 
+class _KeepsEverything:
+    def __getitem__(self, prod_id):
+        return self
+
+    def __contains__(self, pred):
+        return True
+
+
+def _unprojected_init(grammar, session, cap):
+    parser = session._parser(grammar, cap)
+    parser.kept = _KeepsEverything()
+    return init(grammar, session, cap)
+
+
 @st.composite
 def alternatives(draw):
     body = draw(
@@ -103,7 +120,7 @@ def _live_items(state):
 def _observe(state):
     return (
         _live_items(state),
-        valid_terminals(state),
+        _outcome(valid_terminals, state),
         is_complete(state),
     )
 
@@ -147,6 +164,45 @@ def test_shared_charts_match_a_parser_that_shares_nothing(source, order, cap):
                 if got[0] == "ok":
                     assert _observe(got[1]) == _observe(want[1]), (mine.prefix, t)
                     reached.append((got[1], want[1]))
+        frontier = reached
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(source=grammar_sources(), cap=st.sampled_from([4, 8, 64]))
+@example(  # x exports u, which no parent reads, and t, which one does
+    source='s -> x x { :- t@1, t@2. } | s "a" {}\n'
+    'x -> "a" { t. u. } | "a" { u. } | "b" y { t :- t@2. }\ny -> { t. } | "b" {}\n',
+    cap=8,
+)
+def test_projected_exports_keep_every_mask_and_verdict(source, cap):
+    # walk every prefix up to MAX_PREFIX that the reference admits without
+    # overflowing; projection only merges items, so the projected parser
+    # never overflows where the reference does not
+    try:
+        g = parse_grammar(source)
+    except AsgError:
+        return
+    want = _outcome(_unprojected_init, g, Session(), cap)
+    got = _outcome(init, g, Session(), cap)
+    if want[0] != "ok":
+        return
+    assert got[0] == "ok"
+    frontier = [(got[1], want[1])]
+    for depth in range(MAX_PREFIX + 1):
+        reached = []
+        for mine, ref in frontier:
+            mask = _outcome(valid_terminals, ref)
+            if mask[0] != "ok":
+                continue
+            assert _outcome(valid_terminals, mine) == mask, mine.prefix
+            assert is_complete(mine) == is_complete(ref), mine.prefix
+            if depth < MAX_PREFIX:
+                for t in sorted(mask[1] - {END_MARKER}):
+                    reached.append((extend(mine, t), extend(ref, t)))
         frontier = reached
 
 

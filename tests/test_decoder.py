@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from asgdec import (
     DecodeConfig,
@@ -74,6 +76,88 @@ def test_sampling_respects_mask():
     rng = np.random.default_rng(1)
     draws = {choose_token(d, {1, 3}, cfg, rng) for _ in range(50)}
     assert draws <= {1, 3} and len(draws) == 2
+
+
+# ---------------------------------------------------------------------------
+# the list draw against the numpy draw it replaced: same token, and the
+# generator left in the same state
+
+
+def _numpy_masked_logprobs(dist, valid_ids, temperature=1.0):
+    ids = np.fromiter(sorted(valid_ids), dtype=np.int64)
+    lp = dist.logprobs[ids] / max(temperature, 1e-9)
+    m = lp.max()
+    return ids, lp - (m + np.log(np.exp(lp - m).sum()))
+
+
+def _numpy_filter_topk_topp(ids, lp, top_k, top_p):
+    order = np.lexsort((ids, -lp))
+    ids, lp = ids[order], lp[order]
+    if top_k is not None and top_k < len(ids):
+        ids, lp = ids[:top_k], lp[:top_k]
+    if top_p < 1.0:
+        keep = int(np.searchsorted(np.exp(lp).cumsum(), top_p) + 1)
+        ids, lp = ids[:keep], lp[:keep]
+    m = lp.max()
+    return ids, lp - (m + np.log(np.exp(lp - m).sum()))
+
+
+def _numpy_choose_token(dist, valid_ids, cfg, rng):
+    ids, lp = _numpy_masked_logprobs(
+        dist, valid_ids, 1.0 if cfg.mode == "greedy" else cfg.temperature
+    )
+    if cfg.mode == "greedy":
+        return int(ids[lp.argmax()])
+    ids, lp = _numpy_filter_topk_topp(ids, lp, cfg.top_k, cfg.top_p)
+    return int(rng.choice(ids, p=np.exp(lp)))
+
+
+def _cut_ties_top_p(dist, valid_ids, cfg):
+    """Whether a prefix mass of the top-p cut lies within rounding of top_p.
+    numpy's exp and the math module's round it to either side of such a
+    tie, and the two cuts are equally right."""
+    if cfg.mode == "greedy" or cfg.top_p >= 1.0:
+        return False
+    _, lp = _numpy_masked_logprobs(dist, valid_ids, cfg.temperature)
+    cum = np.exp(np.sort(lp)[::-1][: cfg.top_k]).cumsum()
+    return bool(np.any(np.abs(cum - cfg.top_p) <= 1e-12))
+
+
+VOCAB = 48
+
+
+@st.composite
+def distributions(draw):
+    shape = draw(st.sampled_from(["uniform", "peaked", "tied", "spread"]))
+    if shape == "uniform":
+        weights = [1.0] * VOCAB
+    elif shape == "tied":
+        weights = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=VOCAB, max_size=VOCAB))
+    else:
+        weights = draw(st.lists(st.floats(0.001, 1.0), min_size=VOCAB, max_size=VOCAB))
+        if shape == "peaked":
+            weights[draw(st.integers(0, VOCAB - 1))] = draw(st.floats(50.0, 1000.0))
+    w = np.asarray(weights)
+    return Distribution(np.log(w / w.sum()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    d=distributions(),
+    valid=st.sets(st.integers(0, VOCAB - 1), min_size=1, max_size=40),
+    mode=st.sampled_from(["greedy", "sample"]),
+    temperature=st.sampled_from([1.0, 0.3, 0.7, 1.5]) | st.floats(0.05, 4.0),
+    top_k=st.none() | st.just(50) | st.integers(1, 45),
+    top_p=st.just(1.0) | st.sampled_from([0.5, 0.9, 0.95]) | st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_list_draw_is_the_numpy_draw(d, valid, mode, temperature, top_k, top_p, seed):
+    cfg = DecodeConfig(mode=mode, temperature=temperature, top_k=top_k, top_p=top_p)
+    assume(not _cut_ties_top_p(d, valid, cfg))
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert choose_token(d, valid, cfg, mine) == _numpy_choose_token(d, valid, cfg, ref)
+    assert mine.bit_generator.state == ref.bit_generator.state
 
 
 def test_config_validation():

@@ -20,7 +20,7 @@ from asgdec import (
     valid_terminals,
 )
 from asgdec.errors import BackgroundUnsat, ForestOverflow, InvalidExtension
-from asgdec.tasks import generate_instances
+from asgdec.tasks import generate_instances, reference_solution
 
 from conftest import (
     ambncmdn_member,
@@ -234,6 +234,35 @@ def test_forest_cap_guards_blowup():
     with pytest.raises((ForestOverflow, InvalidExtension)):
         for _ in range(40):
             state = extend(state, "a")
+
+
+def test_forest_overflow_is_raised_not_taken_as_invalid():
+    # a cap that fires raises: it never drops a terminal from the mask or
+    # rejects a member
+    g = parse_grammar('s -> s s {} | "a" {}')
+    word = ("a",) * 6
+    assert accepts(g, word)
+    with pytest.raises(ForestOverflow):
+        accepts(g, word, forest_cap=8)
+    state = init(g, forest_cap=8)
+    with pytest.raises(ForestOverflow):
+        for t in word:
+            assert t in valid_terminals(state)
+            state = extend(state, t)
+
+
+def test_a_blocksworld_seq_exports_only_what_its_parents_read():
+    inst = generate_instances("blocksworld", 1, seed=0)[0]
+    g = inst.grammar()
+    session = Session()
+    state = init(g, session)
+    for t in reference_solution(inst):
+        state = extend(state, t)
+    assert is_complete(state)
+    seq = {p.prod_id for p in g.by_head("seq")}
+    exports = [m for (kept, _), m in session.exports.items() if kept == state.parser.kept[min(seq)]]
+    assert {state.parser.kept[i] for i in seq} == {frozenset({"holds", "met"})}
+    assert exports and {pred for m in exports for pred, _ in m} == {"holds", "met"}
 
 
 def test_violation_log_records_pruned_nodes(anbncn_grammar):
