@@ -101,8 +101,7 @@ def choose_token(dist, valid_ids, cfg, rng):
         return ids[lp.index(max(lp))]
     ids, lp = _filter_topk_topp(ids, lp, cfg.top_k, cfg.top_p)
     cdf = list(accumulate([math.exp(x) for x in lp]))
-    total = cdf[-1]
-    return ids[bisect_right([c / total for c in cdf], rng.random())]
+    return ids[bisect_right([c / cdf[-1] for c in cdf], rng.random())]
 
 
 def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None):

@@ -10,15 +10,13 @@ has one entry per symbol left of the dot, the empty model for terminals
 and the completed subtree's exported atoms for nonterminals.
 
 Exports.  A parent reads a child's atoms only through ``@k`` literals, so
-a complete item exports only the predicates that some production reads
-at a position holding its head (``_Parser.kept``): blocksworld's ``seq``
-keeps ``holds`` and ``met`` and drops its helpers.  No verdict or mask
-changes, and items, completions and memo keys that differed only in unread
-atoms become equal.  Each distinct (kept predicates, model) is projected
-once per Session into a ``Model``, which keeps the ``FactIndex`` its first
-reader builds, so an export is indexed once however often it is read.  A
-forest or grounding overflow propagates out of ``valid_terminals`` and
-``accepts``: a cap never narrows a mask or rejects a word.
+a complete item exports only the predicates some production reads at a
+position holding its head (``Grammar.kept``; blocksworld's ``seq`` keeps
+``holds`` and ``met``).  No verdict or mask changes, and more items and
+memo keys become equal.  Each distinct (kept predicates, model) is
+projected once per Session into a ``Model``, which keeps the ``FactIndex``
+its first reader builds.  Overflows propagate out of ``valid_terminals``
+and ``accepts``: a cap never narrows a mask or rejects a word.
 
 Live charts.  Once an item set is closed, only part of it is ever read
 again: its open items (scanned by the next terminal, or advanced when a
@@ -149,12 +147,7 @@ class _Parser:
         self.steps = grammar.steps
         self.heads = tuple(p.head for p in grammar.productions)
         self.annotations = tuple(p.annotation for p in grammar.productions)
-        read = {}  # nonterminal -> the predicates some production reads of it
-        for p in grammar.productions:
-            for lit in chain.from_iterable(r.body for r in p.annotation.rules):
-                if lit.child and not self.steps[p.prod_id][lit.child - 1][0]:
-                    read.setdefault(p.body[lit.child - 1].name, set()).add(lit.pred)
-        self.kept = tuple(frozenset(read.get(h, ())) for h in self.heads)
+        self.kept = grammar.kept
         # (canonical live items, ((distance, node), ...)) -> _Chart
         self.charts = weakref.WeakValueDictionary()
 
@@ -186,8 +179,7 @@ class _Parser:
         return (prod_id, 0, index, ()), self._export(prod_id, result.model)
 
     def _export(self, prod_id, model):
-        """The atoms of ``model`` that some parent reads, as one Model per
-        distinct (kept predicates, model) in the Session."""
+        """``model`` projected onto what parents read, once per Session."""
         kept, exports = self.kept[prod_id], self.session.exports
         export = exports.get((kept, model))
         if export is None:
@@ -407,8 +399,7 @@ def is_complete(state):
 
 def valid_terminals(state):
     """All terminals with a surviving extension, plus the end marker when
-    the current prefix is already a complete word; raises ForestOverflow
-    when a trial extension exceeds the cap."""
+    the prefix is a complete word; ForestOverflow propagates."""
     chart = _shared_chart(state)
     if chart.valid is not None:
         return chart.valid
@@ -426,8 +417,7 @@ def valid_terminals(state):
 
 
 def accepts(grammar, word, session=None, forest_cap=DEFAULT_FOREST_CAP):
-    """Membership test: every extension survives and the result is
-    complete; raises ForestOverflow when an extension exceeds the cap."""
+    """Every extension survives and the result is complete; caps raise."""
     try:
         state = init(grammar, session, forest_cap)
     except BackgroundUnsat:

@@ -76,6 +76,17 @@ class Grammar:
         )
 
     @cached_property
+    def kept(self):
+        """Per production, the predicates some production reads through
+        ``@k`` at a position holding its head."""
+        read = {}
+        for p in self.productions:
+            for lit in (lit for r in p.annotation.rules for lit in r.body if lit.child):
+                if p.body[lit.child - 1].kind == NONTERMINAL:
+                    read.setdefault(p.body[lit.child - 1].name, set()).add(lit.pred)
+        return tuple(frozenset(read.get(p.head, ())) for p in self.productions)
+
+    @cached_property
     def background_index(self):
         """Indexed model of the background, built once per grammar.  An
         inconsistent background raises ``BackgroundUnsat`` every time,
