@@ -153,12 +153,14 @@ class _Parser:
 
     def advance(self, prod_id, dot, origin, models, model):
         """Advance the dot over one realised child: (item, export model of
-        a now complete item or None), or (None, None) if unsatisfiable."""
+        a now complete item or None), or (None, None) if unsatisfiable.  An
+        item before its last child, under an annotation without constraints,
+        is not evaluated: it cannot fail, and it exports nothing."""
         models = models + (model,)
-        arity = len(self.steps[prod_id])
-        result = self.session.evaluate(
-            self.annotations[prod_id], models, arity, self.background_index
-        )
+        arity, fragment = len(self.steps[prod_id]), self.annotations[prod_id]
+        if dot + 1 < arity and not fragment.constrained:
+            return (prod_id, dot + 1, origin, models), None
+        result = self.session.evaluate(fragment, models, arity, self.background_index)
         if result.status == UNSAT:
             self._log(prod_id, result)
             return None, None

@@ -17,12 +17,14 @@ any terms).  A sum inside a positive literal is matched once some order of
 the positives has bound its variables; a rule with no such order never
 fires.  So evaluation never raises on a value, and no verdict depends on
 the order in which bindings are met.
+
+Each rule's join plan is compiled once into a generated Python loop nest;
+the comment above ``_JoinSource`` gives the rules that keep it sound.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 import weakref
 from dataclasses import dataclass, field
@@ -343,27 +345,16 @@ def _term_vars(t, out=None):
 
 
 def _term_has_arith(t):
-    if isinstance(t, Arith):
-        return True
-    if isinstance(t, Tup):
-        return any(_term_has_arith(i) for i in t.items)
-    return False
+    return isinstance(t, Arith) or isinstance(t, Tup) and any(map(_term_has_arith, t.items))
 
 
 def literal_vars(lit):
-    out = set()
-    for a in lit.args:
-        _term_vars(a, out)
-    return out
+    return set().union(*map(_term_vars, lit.args))
 
 
 def _binding_vars(lit):
     """Variables a positive body literal can bind: those outside arithmetic."""
-    out = set()
-    for a in lit.args:
-        if not _term_has_arith(a):
-            _term_vars(a, out)
-    return out
+    return set().union(*[_term_vars(a) for a in lit.args if not _term_has_arith(a)])
 
 
 @dataclass
@@ -376,6 +367,7 @@ class LogicFragment:
     rule_defer_deps: dict = field(default_factory=dict)
     max_child: int = 0
     child_reads: tuple = ()  # the positions k of the @k literals, ascending
+    constrained: bool = False  # some rule is a hard constraint
 
     def __post_init__(self):
         self.rules = tuple(self.rules)
@@ -386,6 +378,7 @@ class LogicFragment:
             sorted({lit.child for r in self.rules for lit in r.body if lit.child})
         )
         self.max_child = max(self.child_reads, default=0)
+        self.constrained = any(r.head is None for r in self.rules)
         self._validate_safety()
         self._components, self.strata = self._stratify()
         # pred -> child positions it depends on, transitively
@@ -669,73 +662,25 @@ class _Store(FactIndex):
             raise GroundingOverflow(f"more than {self.cap} ground atoms derived")
 
 
-# A join runs over ctx = [store, background, child 1, child 2, ...] and
-# env, a list with one slot per rule variable.  Each step is a closure
-# (ctx, env) -> stop that calls the next step once per extension of env;
-# stop turns True once a constraint has found a violating binding.
+# A join runs over ctx = [store, background, child 1, child 2, ...].  Each
+# rule's join plan is generated as the source of one Python loop nest and
+# compiled once: one ``for`` loop per positive literal over
+# ``ctx[src].lookup(spec, key)``, a local ``v<slot>`` per rule variable, and
+# each check, binder, sum and tuple match an inline statement.  The head is
+# ``store.add(...)``; a constraint's join returns True at its first
+# violating binding.  Three rules keep the generator sound:
+# 1. No text of a rule reaches the source.  Constants, predicate names and
+#    index specs are names in the functions' namespace, and the comparison
+#    and sum operators come from the fixed tables below.
+# 2. A failed test is ``continue``, or ``return False`` outside any loop,
+#    never another nested ``if``.
+# 3. After _MAX_LOOPS nested loops the join calls a further generated
+#    function with the bound variables, since CPython refuses more than 20
+#    statically nested blocks.
 
 _STORE, _BACKGROUND = 0, 1  # child k is ctx[_BACKGROUND + k]
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def _term_fn(t, slots):
-    """env -> value of a term whose variables are all bound, or None when
-    a sum in it is undefined."""
-    if isinstance(t, Var):
-        return operator.itemgetter(slots[t.name])
-    if isinstance(t, Tup):
-        items = _tuple_fn(t.items, slots)
-        return lambda env: None if (v := items(env)) is None else Tup(v)
-    if not isinstance(t, Arith):
-        return lambda env: t
-    left, right, op = _term_fn(t.left, slots), _term_fn(t.right, slots), _ARITH[t.op]
-
-    def arith(env):
-        a, b = left(env), right(env)
-        if not isinstance(a, int) or not isinstance(b, int):
-            return None
-        v = op(a, b)
-        return v if -(2**63) <= v <= 2**63 - 1 else None
-
-    return arith
-
-
-def _tuple_fn(terms, slots):
-    """env -> tuple of the values of ``terms``, whose variables are bound,
-    or None when one of them is undefined."""
-    if all(isinstance(t, Var) for t in terms):
-        if len(terms) == 1:
-            slot = slots[terms[0].name]
-            return lambda env: (env[slot],)
-        if terms:
-            return operator.itemgetter(*[slots[t.name] for t in terms])
-    fns = [_term_fn(t, slots) for t in terms]
-    if not any(_term_has_arith(t) for t in terms):
-        return lambda env: tuple([f(env) for f in fns])
-
-    def values(env):
-        out = tuple([f(env) for f in fns])
-        return None if None in out else out
-
-    return values
-
-
-def _matcher(t, bound, slots):
-    """(value, env) -> matches, for one argument; binds each variable not
-    in ``bound`` at its first occurrence, left to right."""
-    if isinstance(t, Var) and t.name not in bound:
-        bound.add(t.name)
-        slot = slots[t.name]
-        return lambda value, env: env.__setitem__(slot, value) or True
-    if isinstance(t, Tup) and not _term_vars(t) <= bound:
-        subs, n = [_matcher(i, bound, slots) for i in t.items], len(t.items)
-        return lambda value, env: (
-            isinstance(value, Tup) and len(value.items) == n
-            and all(m(v, env) for m, v in zip(subs, value.items))
-        )
-    f = _term_fn(t, slots)
-    return lambda value, env: f(env) == value
+_OPERATORS = {op: op for op in ("+", "-", "*", "<", "<=", ">", ">=")}
+_MAX_LOOPS = 16
 
 
 def _matchable(args, bound):
@@ -802,74 +747,121 @@ def _plan_steps(body, positives, checks):
     return steps
 
 
-def _check_fn(lit, slots):
-    """(ctx, env) -> passes, for a builtin or negated literal whose
-    variables are bound; False when a value it reads is undefined."""
-    if not lit.builtin:
-        src, pred, args = (_BACKGROUND + lit.child if lit.child else _STORE), lit.pred, _tuple_fn(lit.args, slots)
-        return lambda ctx, env: (a := args(env)) is not None and not ctx[src].holds(pred, a)
-    (left, right), neg, op = [_term_fn(a, slots) for a in lit.args], lit.neg, lit.builtin
-    if op in ("=", "!="):
-        want = (op == "=") != neg
+class _JoinSource:
+    """The source of one rule's join as functions f0, f1, ..., each of which
+    calls the next after _MAX_LOOPS loops, and the namespace they run in.
+    ``emit`` writes FAIL as the way out of a failed test."""
 
-        def compare(ctx, env):
-            a, b = left(env), right(env)
-            return a is not None and b is not None and (a == b) == want
+    def __init__(self, names):
+        self.v = {name: f"v{k}" for k, name in enumerate(sorted(names))}
+        self.ns, self.funcs, self.temps = {"Tup": Tup}, [], itertools.count()
+        self.chain(())
 
-        return compare
-    cmp = _CMP[op]
+    def const(self, value):
+        name = f"c{len(self.ns)}"
+        self.ns[name] = value
+        return name
 
-    def order(ctx, env):
-        a, b = left(env), right(env)
-        return isinstance(a, int) and isinstance(b, int) and cmp(a, b) != neg
+    def emit(self, line):
+        fail = "continue" if self.loops else "return False"
+        self.body.append("    " * self.depth + line.replace("FAIL", fail))
 
-    return order
+    def chain(self, bound):
+        """Go on in a new function of ctx and the variables of ``bound``."""
+        name, args = f"f{len(self.funcs)}", ", ".join(["ctx"] + sorted(self.v[v] for v in bound))
+        if self.funcs:
+            self.emit(f"if {name}({args}): return True")
+        self.fetch, self.body, self.depth, self.loops = {}, [], 1, 0
+        self.funcs.append((f"def {name}({args}):", self.fetch, self.body))
 
+    def method(self, src, name):
+        """A local bound to ``ctx[src].name`` at the top of the function."""
+        local = f"{name[0]}{src}"
+        self.fetch[local] = f"    {local} = ctx[{src}].{name}"
+        return local
 
-def _scan(lit, bound, slots, src, run):
-    """Positive literal: look up the facts that agree on the bound
-    arguments and match the others."""
-    keyed = [p for p, a in enumerate(lit.args) if _term_vars(a) <= bound]
-    key = _tuple_fn([lit.args[p] for p in keyed], slots) if keyed else None
-    spec, arity = (lit.pred, len(lit.args), tuple(keyed)), len(lit.args)
-    inner, binds, tests = set(bound), [], []
-    for p, a in enumerate(lit.args):
-        if isinstance(a, Var) and a.name not in inner:  # a first occurrence
-            inner.add(a.name)
-            binds.append((p, slots[a.name]))
-        elif p not in keyed:
-            tests.append((p, _matcher(a, inner, slots)))
+    def source(self):
+        return "\n".join(line for head, fetch, body in self.funcs
+                         for line in (head, *fetch.values(), *body, "    return False")) + "\n"
 
-    def scan(ctx, env):
-        for args in ctx[src].lookup(spec, key(env) if key else ()):
-            if len(args) != arity:
-                continue
-            for p, slot in binds:
-                env[slot] = args[p]
-            for p, m in tests:
-                if not m(args[p], env):
-                    break
+    def ints(self, exprs, terms):
+        """Tests that the values of ``terms``, at ``exprs``, are integers."""
+        return [f"isinstance({x}, int)" for x, t in zip(exprs, terms) if not isinstance(t, (int, Arith))]
+
+    def value(self, t):
+        """An expression for the value of ``t``, whose variables are bound;
+        its sums are computed first, and an undefined one fails."""
+        if isinstance(t, Var):
+            return self.v[t.name]
+        if isinstance(t, Arith):
+            operands = self.value(t.left), self.value(t.right)
+            total, tests = f"s{next(self.temps)}", self.ints(operands, (t.left, t.right))
+            if tests:
+                self.emit(f"if not ({' and '.join(tests)}): FAIL")
+            self.emit(f"{total} = {operands[0]} {_OPERATORS[t.op]} {operands[1]}")
+            self.emit(f"if not {-(2**63)} <= {total} <= {2**63 - 1}: FAIL")
+            return total
+        if isinstance(t, Tup) and (_term_vars(t) or _term_has_arith(t)):
+            return f"Tup({self.values(t.items)})"
+        return self.const(t)
+
+    def values(self, terms):
+        return "(" + "".join(self.value(t) + ", " for t in terms) + ")"
+
+    def match(self, t, x, inner):
+        """Match the value ``x`` against ``t``, binding each variable not in
+        ``inner`` at its first occurrence, left to right."""
+        if isinstance(t, Var) and t.name not in inner:
+            inner.add(t.name)
+            self.emit(f"{self.v[t.name]} = {x}")
+        elif isinstance(t, Tup) and not _term_vars(t) <= inner:
+            items = f"i{next(self.temps)}"
+            self.emit(f"if not isinstance({x}, Tup) or len({x}.items) != {len(t.items)}: FAIL")
+            self.emit(f"{items} = {x}.items")
+            for k, item in enumerate(t.items):
+                self.match(item, f"{items}[{k}]", inner)
+        else:
+            self.emit(f"if {x} != {self.value(t)}: FAIL")
+
+    def scan(self, lit, bound, src):
+        """Loop over the facts that agree on the bound arguments of a
+        positive literal, and match the others."""
+        if self.loops == _MAX_LOOPS:
+            self.chain(bound)
+        keyed = [p for p, a in enumerate(lit.args) if _term_vars(a) <= bound]
+        spec = self.const((lit.pred, len(lit.args), tuple(keyed)))
+        key, inner, fields, tests = self.values([lit.args[p] for p in keyed]), set(bound), [], []
+        for p, a in enumerate(lit.args):
+            if p in keyed:
+                fields.append("_")
+            elif isinstance(a, Var) and a.name not in inner:
+                inner.add(a.name)
+                fields.append(self.v[a.name])
             else:
-                if run(ctx, env):
-                    return True
-        return False
+                fields.append(f"t{next(self.temps)}")
+                tests.append((a, fields[-1]))
+        row = "".join(f + ", " for f in fields) or "()"
+        rows = f"{self.method(src, 'lookup')}({spec}, {key})"
+        if not keyed and src != _STORE:  # FactIndex.lookup then returns every arity
+            rows = f"[r for r in {rows} if len(r) == {len(lit.args)}]"
+        self.emit(f"for {row} in {rows}:")
+        self.depth, self.loops = self.depth + 1, self.loops + 1
+        for a, x in tests:
+            self.match(a, x, inner)
 
-    return scan
-
-
-def _guard(lit, kind, bound, slots, run):
-    """Check or binder step: ``run`` goes on with the bindings that pass."""
-    if kind == "check":
-        check = _check_fn(lit, slots)
-        return lambda ctx, env: check(ctx, env) and run(ctx, env)
-    var, term = _binder(lit, bound)
-    slot, value = slots[var], _term_fn(term, slots)
-
-    def bind(ctx, env):
-        env[slot] = v = value(env)
-        return v is not None and run(ctx, env)
-
-    return bind
+    def check(self, lit, src):
+        """A builtin or negated literal whose variables are bound; a value
+        it reads that is undefined fails it."""
+        if not lit.builtin:
+            args = self.values(lit.args)
+            self.emit(f"if {self.method(src, 'holds')}({self.const(lit.pred)}, {args}): FAIL")
+            return
+        left, right = operands = self.value(lit.args[0]), self.value(lit.args[1])
+        if lit.builtin in ("=", "!="):
+            self.emit(f"if {left} {'!=' if (lit.builtin == '=') != lit.neg else '=='} {right}: FAIL")
+        else:
+            test = f"{'not ' if lit.neg else ''}{left} {_OPERATORS[lit.builtin]} {right}"
+            self.emit(f"if not ({' and '.join(self.ints(operands, lit.args) + [test])}): FAIL")
 
 
 def _compile_rule(rule, local_preds):
@@ -882,23 +874,24 @@ def _compile_rule(rule, local_preds):
     steps = _plan_steps(body, positives, checks)
     if steps is None:
         return None
-    names = set().union(*map(literal_vars, body + ((rule.head,) if rule.head else ())))
-    slots = {v: k for k, v in enumerate(sorted(names))}
-    if rule.head is None:
-        run = lambda ctx, env: True
-    else:
-        pred, head = rule.head.pred, _tuple_fn(rule.head.args, slots)
-        # add returns None, so the join goes on
-        run = lambda ctx, env: (args := head(env)) is not None and ctx[_STORE].add(pred, args)
-    for kind, i, bound in reversed(steps):
+    gen = _JoinSource(set().union(*map(literal_vars, body + ((rule.head,) if rule.head else ()))))
+    for kind, i, bound in steps:
         lit = body[i]
         if kind == "pos":
             src = _BACKGROUND + lit.child if lit.child else _STORE if lit.pred in local_preds else _BACKGROUND
-            run = _scan(lit, bound, slots, src, run)
+            gen.scan(lit, bound, src)
+        elif kind == "check":
+            gen.check(lit, _BACKGROUND + lit.child if lit.child else _STORE)
         else:
-            run = _guard(lit, kind, bound, slots, run)
-    n = len(slots)
-    return lambda ctx: run(ctx, [None] * n)
+            var, term = _binder(lit, bound)
+            gen.emit(f"{gen.v[var]} = {gen.value(term)}")
+    if rule.head is None:
+        gen.emit("return True")
+    else:
+        args = gen.values(rule.head.args)
+        gen.emit(f"{gen.method(_STORE, 'add')}({gen.const(rule.head.pred)}, {args})")
+    exec(compile(gen.source(), "<join>", "exec"), gen.ns)
+    return gen.ns["f0"]
 
 
 class _Plan:

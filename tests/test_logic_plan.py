@@ -1,7 +1,9 @@
 """The compiled evaluator against the reference evaluator in
-``logic_reference``: random non-ground stratified programs, and joins
-whose checks meet undefined values, which drop the binding wherever the
-plan places the check."""
+``logic_reference``: random non-ground stratified programs, the
+evaluations made while sampling on the task grammars, bodies longer than
+one generated function nests, names that are also names of the generated
+source, and joins whose checks meet undefined values, which drop the
+binding wherever the plan places the check."""
 
 import os
 import random
@@ -13,31 +15,46 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asgdec
+from asgdec import earley
+from asgdec.align import TerminalTokenizer, build_map
+from asgdec.decoding import DecodeConfig, generate
 from asgdec.errors import AsgError, AsgSyntaxError, StratificationError
-from asgdec.logic import SAT, UNSAT, LogicFragment, Tup, evaluate_node, parse_rules
+from asgdec.logic import SAT, UNSAT, LogicFragment, QStr, Tup, evaluate_node, parse_rules
+from asgdec.policy import UniformPolicy
+from asgdec.tasks import TASK_IDS, generate_instances
 
 from logic_reference import evaluate_node_reference
 
-VALUES = ["0", "1", "2", "a", "b", "(0,1)", "(1,a)"]
+BIG = 2**62  # twice it is outside 64 bits, so X+X and X*2 are undefined on it
+VALUES = ["0", "1", "2", "a", "b", "(0,1)", "(1,a)", "((0,1),a)", '"q"', '"1"', str(BIG)]
 GROUND = {"0": 0, "1": 1, "2": 2, "a": "a", "b": "b",
-          "(0,1)": Tup((0, 1)), "(1,a)": Tup((1, "a"))}
+          "(0,1)": Tup((0, 1)), "(1,a)": Tup((1, "a")), "((0,1),a)": Tup((Tup((0, 1)), "a")),
+          '"q"': QStr("q"), '"1"': QStr("1"), str(BIG): BIG}
 VARS = ["X", "Y", "Z"]
 
 
-def _arg(rng, bound):
-    """A pattern argument: a variable, a constant, a tuple, or a sum.  A
-    sum mostly adds to a variable bound earlier in the body; otherwise the
-    rule is unsafe (and skipped) or the variable is bound later."""
+def _arg(rng, bound, depth=0):
+    """A pattern argument: a variable, a constant, a tuple (possibly
+    nested, possibly holding a sum), or a sum."""
     roll = rng.random()
-    if roll < 0.6:
+    if roll < 0.55:
         return rng.choice(VARS)
-    if roll < 0.8:
+    if roll < 0.75:
         return rng.choice(VALUES)
-    if roll < 0.9:
-        return f"({rng.choice(VARS)},{rng.choice(VARS + VALUES[:2])})"
-    if bound and rng.random() < 0.9:
-        return f"{rng.choice(sorted(bound))}+1"
-    return f"{rng.choice(VARS)}+1" if rng.random() < 0.2 else rng.choice(VARS)
+    if roll < 0.88 and depth < 2:
+        return f"({_arg(rng, bound, depth + 1)},{_arg(rng, bound, depth + 1)})"
+    if roll < 0.9 and not bound:
+        return rng.choice(VARS)
+    return _sum(rng, bound)
+
+
+def _sum(rng, bound):
+    """A sum, difference or product, possibly nested.  It mostly reads a
+    variable bound earlier in the body; otherwise the rule is unsafe (and
+    skipped) or the variable is bound later."""
+    x = rng.choice(sorted(bound)) if bound and rng.random() < 0.9 else rng.choice(VARS)
+    term = f"{x}{rng.choice('+-*')}{rng.choice(['1', '2', x])}"
+    return f"({term}){rng.choice('+-*')}{rng.choice(['1', x])}" if rng.random() < 0.3 else term
 
 
 def _rule(rng, head, arity, level, is_constraint):
@@ -64,20 +81,22 @@ def _rule(rng, head, arity, level, is_constraint):
         else:
             j = rng.choice([j for j in range(len(arity)) if level[j] <= top])
             args = [_arg(rng, bound) for _ in range(arity[j])]
+            if arity[j] == 2 and rng.random() < 0.15:  # a repeated variable, p(X,X)
+                args = [rng.choice(VARS)] * 2
             lits.append(f"p{j}({','.join(args)})")
         for a in args:
-            if "+" not in a:
+            if not any(op in a for op in "+-*"):
                 bound.update(v for v in VARS if v in a)
     bound = sorted(bound)
     for _ in range(rng.randint(0, 2)):
         if not bound:
             break
         x, y = rng.choice(bound), rng.choice(bound)
-        op = rng.choice(["=", "!=", "<", "+"])
+        op = rng.choice(["=", "!=", "<", ">=", "+"])
         if op == "+":
-            lits.append(f"{x} = {y} + 1")
-        elif op == "<":
-            lits.append(f"{x} < {rng.choice([y, '2'])}")
+            lits.append(f"{x} = {_sum(rng, [y])}")
+        elif op in ("<", ">="):
+            lits.append(f"{'not ' if rng.random() < 0.2 else ''}{x} {op} {rng.choice([y, '2', _sum(rng, [y])])}")
         else:
             lits.append(f"{'not ' if rng.random() < 0.2 else ''}{x} {op} {rng.choice([y, rng.choice(VALUES)])}")
     if bound and rng.random() < 0.4:
@@ -91,7 +110,7 @@ def _rule(rng, head, arity, level, is_constraint):
     if is_constraint:
         return ":- " + ", ".join(lits) + "."
     head_args = [rng.choice(bound) if bound else rng.choice(VALUES) for _ in range(arity[head])]
-    if bound and rng.random() < 0.3:
+    if bound and rng.random() < 0.3:  # the one sum that makes new values, so bounded
         head_args[0] = f"{bound[0]}+1"
         lits.append(f"{bound[0]} < 2")
     return f"p{head}({','.join(head_args)}) :- {', '.join(lits)}."
@@ -200,3 +219,66 @@ def test_mutual_recursion_runs_to_fixpoint():
     model = evaluate_node(f, [], {}).model
     assert ("odd", (1, 4)) in model and ("even", (1, 3)) in model
     assert ("even", (1, 4)) not in model
+
+
+@pytest.mark.parametrize("n", [19, 21, 30, 60, 120])
+def test_long_bodies_match_reference(n):
+    # more positives than one generated function nests loops; e is a
+    # 4-cycle, so the constraint is violated exactly when n is 2 modulo 4
+    chain = ", ".join(f"e(X{i},X{i + 1})" for i in range(n))
+    f = _frag(
+        f"e(0,1). e(1,2). e(2,3). e(3,0). r(X0,X{n}) :- {chain}, X0 < 2. "
+        f":- {chain}, not b(X0), X{n} = X0 + 2."
+    )
+    background = {"b": {(0,)}}
+    result = _outcome(evaluate_node, f, [], background)
+    assert result == _outcome(evaluate_node_reference, f, [], background)
+    assert result[0] == (UNSAT if n % 4 == 2 else SAT)
+
+
+def test_names_and_quoted_text_are_data():
+    # constants, predicates and variables named like Python keywords or
+    # like the names of the generated source, and a quoted string holding
+    # Python source, quotes and a backslash
+    f = _frag(r'''
+        store("\"); raise SystemExit(\"", c). class(return, lambda). class(lambda, f1).
+        v0(None, True) :- store(None, c), class(True, lambda), not t0(None).
+        a0(True) :- class(True, f1), True != k0, None = "a\\b", v0(None, X).
+        ctx(X, "a\\b") :- class(X, f1), X != return.
+        :- v0(None, True), k0(None)@1.
+    ''')
+    source = QStr('"); raise SystemExit("')
+    children = [frozenset({("k0", (QStr("other"),))})]
+    result = _outcome(evaluate_node, f, children, {})
+    assert result == _outcome(evaluate_node_reference, f, children, {})
+    assert result[1] == {
+        ("store", (source, "c")), ("class", ("return", "lambda")), ("class", ("lambda", "f1")),
+        ("v0", (source, "return")), ("ctx", ("lambda", QStr("a\\b"))),
+    }
+    children = [frozenset({("k0", (source,))})]
+    assert _outcome(evaluate_node, f, children, {})[:3] == (UNSAT, frozenset(), "t:6")
+    assert _outcome(evaluate_node_reference, f, children, {})[:3] == (UNSAT, frozenset(), "t:6")
+
+
+def test_evaluations_on_task_grammars_match_reference(monkeypatch):
+    calls, evaluate = [], earley.evaluate_node
+
+    def record(fragment, models, background, *args):
+        result = evaluate(fragment, models, background, *args)
+        calls.append((fragment, list(models), background, result))
+        return result
+
+    monkeypatch.setattr(earley, "evaluate_node", record)
+    for task in TASK_IDS:
+        g = generate_instances(task, 1, seed=0)[0].grammar()
+        token_map = build_map(g.terminals, TerminalTokenizer(g.terminals))
+        policy = UniformPolicy(token_map.vocab_size)
+        for seed in range(3):
+            cfg = DecodeConfig(mode="sample", constraint="sem", seed=seed, max_tokens=60)
+            generate(g, token_map, policy, (), cfg)
+    assert len(calls) > 1000
+    for fragment, models, background, r in calls:
+        expected = evaluate_node_reference(fragment, models, background)
+        assert (r.status, r.model, r.violated, r.deferred) == (
+            expected.status, expected.model, expected.violated, expected.deferred
+        ), fragment.name

@@ -166,6 +166,23 @@ def test_session_memo_keys_on_the_positions_literals_read():
     assert (session.node_evals, session.eval_cache_hits) == (2, 2)
 
 
+def test_constraint_free_items_are_evaluated_only_at_their_last_child():
+    # triple has no constraint, so it cannot fail before its last child and
+    # exports nothing there; start's constraint still prunes complete ones
+    g = parse_grammar(
+        'start -> triple { :- n(X)@1, X > 4. }\n'
+        'triple -> t t t { n(X+Y+Z) :- n(X)@1, n(Y)@2, n(Z)@3. }\n'
+        't -> "a" { n(1). } | "b" { n(2). }\n'
+    )
+    session = Session()
+    assert accepts(g, tuple("aab"), session)
+    # t once per letter, triple and start once each
+    assert session.node_evals == 4
+    for n in range(5):
+        for w in itertools.product("ab", repeat=n):
+            assert accepts(g, w) == (n == 3 and w.count("a") + 2 * w.count("b") <= 4), w
+
+
 def test_session_memo_separates_backgrounds():
     # the sem grammar and its csg projection share annotation fragments but
     # not backgrounds; a board breaking a given must stay rejected at sem
