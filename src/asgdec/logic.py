@@ -446,21 +446,34 @@ class LogicFragment:
     def _stratify(self):
         """The local predicates' strongly connected components, each after
         the components it reads, and each local predicate's stratum: the
-        most negative edges on a dependency path below it."""
-        report = check_stratified([self])
-        if not report.ok:
+        most negative edges on a dependency path below it.  A cycle through
+        a negative edge raises StratificationError."""
+        edges, succ, reach = self.dependency_edges(), {}, {}
+        for hp, q, _ in edges:
+            succ.setdefault(hp, set()).add(q)
+        for p in self.local_preds:  # what p reaches along one or more edges
+            todo, reach[p] = list(succ.get(p, ())), set()
+            while todo:
+                q = todo.pop()
+                if q not in reach[p]:
+                    reach[p].add(q)
+                    todo.extend(succ.get(q, ()))
+        comp = {p: frozenset([p] + [q for q in reach[p] if p in reach.get(q, ())])
+                for p in self.local_preds}
+        cycles = sorted({tuple(sorted(comp[q]))
+                         for hp, q, neg in edges if neg and hp in reach.get(q, ())})
+        if cycles:
             raise StratificationError(
-                f"fragment {self.name} is not stratified: {report.describe()}",
-                report.cycles,
+                f"fragment {self.name} is not stratified: "
+                + "; ".join("negation cycle through " + " -> ".join(c) for c in cycles),
+                cycles,
             )
-        components = [c for c in report.components if c & self.local_preds]
-        deps, strata = {}, {}
-        for hp, q, neg in self.dependency_edges():
-            deps.setdefault(hp, []).append((q, neg))
-        for comp in components:
-            s = max((strata[q] + neg for p in comp for q, neg in deps.get(p, ()) if q in strata),
-                    default=0)
-            strata.update(dict.fromkeys(comp, s))
+        # a component reaches strictly more than every component it reads
+        components = sorted(set(comp.values()), key=lambda c: (len(reach[min(c)] | c), sorted(c)))
+        strata = {}
+        for c in components:
+            s = max((strata[q] + neg for hp, q, neg in edges if hp in c and q in strata), default=0)
+            strata.update(dict.fromkeys(c, s))
         return components, strata
 
     def _runnable(self, unrealized):
@@ -479,78 +492,6 @@ class LogicFragment:
                 tuple(r.rule_id for r in self.rules if not live(r)),
             )
         return runnable
-
-
-# ---------------------------------------------------------------------------
-# Stratification report over one or more fragments.
-
-
-@dataclass
-class StratReport:
-    ok: bool
-    cycles: tuple = ()
-    components: tuple = ()  # strongly connected components, dependencies first
-
-    def describe(self):
-        return "; ".join("negation cycle through " + " -> ".join(c) for c in self.cycles) or "ok"
-
-
-def check_stratified(fragments):
-    """Predicate dependency graph over the union of fragments; ok iff no
-    cycle contains a negative edge.  Tarjan's algorithm emits each
-    strongly connected component after every component it reaches, so
-    ``components`` comes out in evaluation order."""
-    pos, neg, nodes = {}, {}, set()
-    for frag in fragments:
-        nodes |= frag.local_preds
-        for hp, key, is_neg in frag.dependency_edges():
-            nodes.add(hp)
-            nodes.add(key)
-            (neg if is_neg else pos).setdefault(hp, set()).add(key)
-    # find strongly connected components, flag ones with internal neg edge
-    index, low, onstack, stack, sccs = {}, {}, {}, [], []
-    counter = itertools.count()
-
-    def strongconnect(v):
-        work = [(v, iter(sorted(pos.get(v, set()) | neg.get(v, set()))))]
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        onstack[v] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(sorted(pos.get(w, set()) | neg.get(w, set())))))
-                    advanced = True
-                    break
-                elif onstack.get(w):
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for v in sorted(nodes):
-        if v not in index:
-            strongconnect(v)
-
-    bad = [tuple(sorted(c)) for c in sccs if any(neg.get(v, set()) & c for v in c)]
-    return StratReport(ok=not bad, cycles=tuple(bad), components=tuple(sccs))
 
 
 EMPTY_FRAGMENT = LogicFragment((), "empty")
