@@ -92,11 +92,12 @@ class Session:
         self._pinned = {}  # id -> object named by an id in a memo key
         self._parsers = weakref.WeakValueDictionary()  # (id(grammar), cap) -> _Parser
 
-    def evaluate(self, fragment, models, arity, background):
+    def evaluate(self, fragment, models, background):
         """``evaluate_node`` memoised on what it reads: the fragment, the
         background and the child models at the positions some ``@k``
-        literal names (None while unrealised).  A fragment without rules
-        is always SAT with the empty model."""
+        literal names (None while unrealised).  ``models`` holds the
+        realised children, left to right.  A fragment without rules is
+        always SAT with the empty model."""
         if not fragment.rules:
             return _EMPTY_SAT
         n = len(models)
@@ -106,9 +107,8 @@ class Session:
         if hit is not None:
             self.eval_cache_hits += 1
             return hit
-        padded = list(models) + [None] * (arity - len(models))
         self.node_evals += 1
-        result = evaluate_node(fragment, padded, background)
+        result = evaluate_node(fragment, models, background)
         self.eval_memo[key] = result
         self._pinned[id(fragment)] = fragment
         self._pinned[id(background)] = background
@@ -160,7 +160,7 @@ class _Parser:
         arity, fragment = len(self.steps[prod_id]), self.annotations[prod_id]
         if dot + 1 < arity and not fragment.constrained:
             return (prod_id, dot + 1, origin, models), None
-        result = self.session.evaluate(fragment, models, arity, self.background_index)
+        result = self.session.evaluate(fragment, models, self.background_index)
         if result.status == UNSAT:
             self._log(prod_id, result)
             return None, None
@@ -172,9 +172,7 @@ class _Parser:
         body is complete at once, and None when its annotation fails."""
         if self.steps[prod_id]:
             return (prod_id, 0, index, ()), None
-        result = self.session.evaluate(
-            self.annotations[prod_id], (), 0, self.background_index
-        )
+        result = self.session.evaluate(self.annotations[prod_id], (), self.background_index)
         if result.status == UNSAT:
             self._log(prod_id, result)
             return None

@@ -18,8 +18,9 @@ the positives has bound its variables; a rule with no such order never
 fires.  So evaluation never raises on a value, and no verdict depends on
 the order in which bindings are met.
 
-Each rule's join plan is compiled once into a generated Python loop nest;
-the comment above ``_JoinSource`` gives the rules that keep it sound.
+Each fragment's live rules, per set of unrealised children read, run as
+one generated Python function; the comment above ``_JoinSource`` gives its
+shape and the rules that keep it sound.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import itertools
 import re
 import weakref
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
@@ -64,7 +66,16 @@ class QStr:
 
 @dataclass(frozen=True, slots=True)
 class Tup:
+    """A tuple term, whose hash is computed once."""
+
     items: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.items,)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return "(" + ",".join(repr(i) for i in self.items) + ")"
@@ -476,21 +487,23 @@ class LogicFragment:
             strata.update(dict.fromkeys(c, s))
         return components, strata
 
-    def _runnable(self, unrealized):
-        """(groups, constraints, deferred rule ids) when the child positions
-        ``unrealized`` are not realised.  Groups come in dependency order as
-        (recursive, [join]); constraints as (rule id, join)."""
+    def _runnable(self, child_models):
+        """(compiled evaluation, deferred rule ids) for ``child_models``, as
+        ``evaluate_node`` reads them.  A runnable plan is compiled once per
+        set of unrealised reads, and found by the number of children when
+        none is None, else by the unrealised reads."""
         plan = self._plan
         if plan is None:
             plan = self._plan = _PLANS.get(self.rules) or _compile_fragment(self)
-        runnable = plan.runnable.get(unrealized)
+        n = len(child_models)
+        key = n if None not in child_models else frozenset(
+            [k for k in self.child_reads if k > n or child_models[k - 1] is None])
+        runnable = plan.runnable.get(key)
         if runnable is None:
-            live = lambda r: not (self.rule_defer_deps[r.rule_id] & unrealized)
-            runnable = plan.runnable[unrealized] = (
-                [(rec, [j for r, j in rules if j and live(r)]) for rec, rules in plan.groups],
-                [(r.rule_id, j) for r, j in plan.constraints if j and live(r)],
-                tuple(r.rule_id for r in self.rules if not live(r)),
-            )
+            unrealized = key if key.__class__ is frozenset else frozenset(
+                [k for k in self.child_reads if k > n])
+            runnable = plan.runnable.get(unrealized) or _compile_runnable(self, plan, unrealized)
+            plan.runnable[key] = plan.runnable[unrealized] = runnable
         return runnable
 
 
@@ -519,7 +532,7 @@ class SatResult:
 
 class FactIndex(dict):
     """Atoms as pred -> set(args), with a hash index per (pred, arity,
-    bound argument positions), each built at its first lookup."""
+    bound argument positions), each built at its first use."""
 
     __slots__ = ("indexes",)
 
@@ -527,26 +540,35 @@ class FactIndex(dict):
         super().__init__(*args)
         self.indexes = {}
 
-    def lookup(self, spec, key):
-        """Facts of spec = (pred, arity, positions) whose arguments there
-        equal ``key``; with no positions, of any arity."""
-        if not spec[2]:
-            return self.get(spec[0], ())
+    def bucket(self, spec):
+        """The index of spec = (pred, arity, positions), as ``_bucket``."""
         idx = self.indexes.get(spec)
         if idx is None:
             idx = self.indexes[spec] = _bucket(self.get(spec[0], ()), spec, {})
-        return idx.get(key, ())
-
-    def holds(self, pred, args):
-        return args in self.get(pred, ())
+        return idx
 
 
 def _bucket(facts, spec, idx):
+    """``idx`` with the facts of spec's arity added under their arguments
+    at spec's positions: a value for one position, else a tuple."""
     _, arity, positions = spec
+    if not positions:
+        rows = [args for args in facts if len(args) == arity]
+        if rows:
+            idx.setdefault((), []).extend(rows)
+        return idx
+    key = itemgetter(*positions)
     for args in facts:
         if len(args) == arity:
-            idx.setdefault(tuple([args[p] for p in positions]), []).append(args)
+            idx.setdefault(key(args), []).append(args)
     return idx
+
+
+def _store_index(facts, spec, background):
+    """The index of spec over a local predicate's derived facts and the
+    background's facts of it."""
+    idx = _bucket(facts, spec, {})
+    return _bucket(background[spec[0]], spec, idx) if spec[0] in background else idx
 
 
 class Model(frozenset):
@@ -566,60 +588,32 @@ def index_model(model):
     return idx
 
 
-class _Store(FactIndex):
-    """Atoms derived by one evaluation.  Lookups on a derived predicate
-    also see the background's facts of it.  An index holds the atoms added
-    before it was built, so a recursive group clears the indexes before
-    each round."""
-
-    __slots__ = ("background", "atoms", "cap")
-
-    def __init__(self, background, cap):
-        super().__init__()
-        self.background, self.cap = background, cap
-        self.atoms = []  # (pred, args) in derivation order; its length is the count
-
-    def lookup(self, spec, key):
-        idx = self.indexes.get(spec)
-        if idx is None:
-            idx = self.indexes[spec] = _bucket(
-                self.background.get(spec[0], ()), spec, _bucket(self.get(spec[0], ()), spec, {})
-            )
-        return idx.get(key, ())
-
-    def holds(self, pred, args):
-        return args in self.get(pred, ()) or args in self.background.get(pred, ())
-
-    def add(self, pred, args):
-        facts = self.get(pred)
-        if facts is None:
-            self[pred] = {args}
-        elif args in facts:
-            return
-        else:
-            facts.add(args)
-        self.atoms.append((pred, args))
-        if len(self.atoms) > self.cap:
-            raise GroundingOverflow(f"more than {self.cap} ground atoms derived")
-
-
-# A join runs over ctx = [store, background, child 1, child 2, ...].  Each
-# rule's join plan is generated as the source of one Python loop nest and
-# compiled once: one ``for`` loop per positive literal over
-# ``ctx[src].lookup(spec, key)``, a local ``v<slot>`` per rule variable, and
-# each check, binder, sum and tuple match an inline statement.  The head is
-# ``store.add(...)``; a constraint's join returns True at its first
-# violating binding.  Three rules keep the generator sound:
-# 1. No text of a rule reaches the source.  Constants, predicate names and
-#    index specs are names in the functions' namespace, and the comparison
-#    and sum operators come from the fixed tables below.
-# 2. A failed test is ``continue``, or ``return False`` outside any loop,
-#    never another nested ``if``.
+# The live rules of a fragment, for one set of unrealised read positions,
+# are generated as one function ``run(bg, models, cap)``, compiled once,
+# that returns the derived atoms or the id of the first violated
+# constraint.  Each rule's join is a loop nest, in dependency order: a
+# ``for`` loop per positive literal over the rows of an index that agree on
+# its bound arguments, a local ``v<slot>`` per rule variable, and each
+# check, binder, sum and tuple match an inline statement.  A recursive
+# group is a ``while`` loop whose rounds reset its store indexes and stop
+# when ``atoms`` does not grow; the constraints come last.  The store is a
+# local set per local predicate and arity; a head is added to it and to
+# ``atoms`` inline, with the cap check.  An index is a local built at its
+# first read, through the FactIndex of a child or of the background, or
+# from a local predicate's set and the background's facts of it: not at
+# all when both are empty, and a complete set with no background facts is
+# read as it is.  Three rules keep the generator sound:
+# 1. No text of a rule reaches the source.  Constants, predicate names,
+#    rule ids and index specs are names in the function's namespace, and
+#    the comparison and sum operators come from the fixed table below.
+# 2. A failed test is ``continue``, never another nested ``if``.  A rule
+#    with a test outside its loops runs in a one-pass loop; in a chained
+#    function such a test is ``return False``.
 # 3. After _MAX_LOOPS nested loops the join calls a further generated
-#    function with the bound variables, since CPython refuses more than 20
-#    statically nested blocks.
+#    function, nested in ``run``, with the bound variables, since CPython
+#    refuses more than 20 statically nested blocks (a group's ``while``
+#    and a one-pass loop add two).
 
-_STORE, _BACKGROUND = 0, 1  # child k is ctx[_BACKGROUND + k]
 _OPERATORS = {op: op for op in ("+", "-", "*", "<", "<=", ">", ">=")}
 _MAX_LOOPS = 16
 
@@ -649,14 +643,17 @@ def _binder(lit, bound):
     return None
 
 
-def _plan_steps(body, positives, checks):
+def _plan_steps(body):
     """Join order as (kind in pos/check/bind, body index, bound set before)
     steps, or None when no order of the positives binds the variables of
-    their sums.  A check or binder goes where its variables are first
-    bound.  Of the positives whose sums the positives before them bind,
-    the one with all arguments bound leads, then the most bound arguments,
-    then body order."""
-    bound, matched, todo, pending, steps = set(), set(), list(positives), list(checks), []
+    their sums, so the rule never fires.  A check or binder goes where its
+    variables are first bound.  Of the positives whose sums the positives
+    before them bind, the one with all arguments bound leads, then the
+    most bound arguments, then body order."""
+    todo = [i for i, l in enumerate(body) if not l.neg and not l.builtin]
+    pending = [i for i, l in enumerate(body) if l.builtin] + [
+        i for i, l in enumerate(body) if l.neg and not l.builtin]
+    bound, matched, steps = set(), set(), []
 
     def place():
         j = 0
@@ -689,14 +686,16 @@ def _plan_steps(body, positives, checks):
 
 
 class _JoinSource:
-    """The source of one rule's join as functions f0, f1, ..., each of which
-    calls the next after _MAX_LOOPS loops, and the namespace they run in.
-    ``emit`` writes FAIL as the way out of a failed test."""
+    """The source of one ``run``, with the functions its long joins chain
+    into nested in it, and the namespace it runs in.  ``emit`` writes FAIL
+    as the way out of a failed test."""
 
-    def __init__(self, names):
-        self.v = {name: f"v{k}" for k, name in enumerate(sorted(names))}
-        self.ns, self.funcs, self.temps = {"Tup": Tup}, [], itertools.count()
-        self.chain(())
+    def __init__(self, local_preds):
+        self.local, self.sets, self.lazies, self.funcs = local_preds, {}, {}, []
+        self.ns = {"Tup": Tup, "E": {}, "ix": index_model, "index": _store_index,
+                   "Overflow": GroundingOverflow}
+        self.body, self.depth, self.shared, self.temps = [], 1, None, itertools.count()
+        self.own = ()  # the predicates of the recursive group being emitted
 
     def const(self, value):
         name = f"c{len(self.ns)}"
@@ -704,26 +703,47 @@ class _JoinSource:
         return name
 
     def emit(self, line):
-        fail = "continue" if self.loops else "return False"
-        self.body.append("    " * self.depth + line.replace("FAIL", fail))
+        if "FAIL" in line:
+            in_run = self.shared is None
+            self.bare = self.bare or in_run and not self.loops
+            line = line.replace("FAIL", "continue" if self.loops or in_run else "return False")
+        self.body.append("    " * self.depth + line)
+
+    def facts(self, pred, arity):
+        """The local set of the atoms derived of pred with that arity."""
+        return self.sets.setdefault((pred, arity), f"r{len(self.sets)}")
+
+    def lazy(self, key, expr):
+        """A local set to ``expr()`` by the statement emitted here when it is
+        None: before its first read, and after a group's round resets it."""
+        if key not in self.lazies:
+            self.lazies[key] = f"x{len(self.lazies)}", expr()
+        name, value = self.lazies[key]
+        if self.shared is not None:
+            self.shared.add(name)
+        self.emit(f"if {name} is None: {name} = {value}")
+        return name
 
     def chain(self, bound):
-        """Go on in a new function of ctx and the variables of ``bound``."""
-        name, args = f"f{len(self.funcs)}", ", ".join(["ctx"] + sorted(self.v[v] for v in bound))
-        if self.funcs:
-            self.emit(f"if {name}({args}): return True")
-        self.fetch, self.body, self.depth, self.loops = {}, [], 1, 0
-        self.funcs.append((f"def {name}({args}):", self.fetch, self.body))
-
-    def method(self, src, name):
-        """A local bound to ``ctx[src].name`` at the top of the function."""
-        local = f"{name[0]}{src}"
-        self.fetch[local] = f"    {local} = ctx[{src}].{name}"
-        return local
+        """Go on in a new function, nested in ``run``, of the variables of
+        ``bound``."""
+        call = f"f{len(self.funcs) + 1}({', '.join(sorted(self.v[v] for v in bound))})"
+        self.emit(f"if {call}: {self.violation}" if self.violation else call)
+        self.shared, self.body, self.depth, self.loops = set(), [], 1, 0
+        self.funcs.append((call, self.shared, self.body))
+        self.violation = self.violation and "return True"
 
     def source(self):
-        return "\n".join(line for head, fetch, body in self.funcs
-                         for line in (head, *fetch.values(), *body, "    return False")) + "\n"
+        lines = ["def run(bg, models, cap):", "    atoms = []"]
+        lines += [f"    {name} = set()" for name in self.sets.values()]
+        if self.lazies:
+            lines.append("    " + " = ".join(name for name, _ in self.lazies.values()) + " = None")
+        for call, shared, body in self.funcs:
+            lines.append(f"    def {call}:")
+            if shared:
+                lines.append(f"        nonlocal {', '.join(sorted(shared))}")
+            lines += ["    " + line for line in body]
+        return "\n".join(lines + self.body + ["    return atoms"]) + "\n"
 
     def ints(self, exprs, terms):
         """Tests that the values of ``terms``, at ``exprs``, are integers."""
@@ -764,14 +784,32 @@ class _JoinSource:
         else:
             self.emit(f"if {x} != {self.value(t)}: FAIL")
 
-    def scan(self, lit, bound, src):
+    def rows(self, lit, keyed):
+        """A local holding the index that a positive literal reads, or with
+        no ``keyed`` positions, the list of its facts."""
+        spec, tail = (lit.pred, len(lit.args), tuple(keyed)), "" if keyed else ".get((), ())"
+        if lit.child or lit.pred not in self.local:
+            src = f"ix(models[{lit.child - 1}])" if lit.child else "bg"
+            return self.lazy((src, spec), lambda: f"{src}.bucket({self.const(spec)}){tail}")
+        facts, held = self.facts(lit.pred, len(lit.args)), self.const(lit.pred)
+        if not keyed and lit.pred not in self.own:  # complete, so the set itself
+            return self.lazy(("store", spec), lambda: (
+                f"index({facts}, {self.const(spec)}, bg){tail} if {held} in bg else {facts}"))
+        return self.lazy(("store", spec), lambda: (
+            f"index({facts}, {self.const(spec)}, bg){tail} if {facts} or "
+            f"{held} in bg else {'E' if keyed else '()'}"))
+
+    def scan(self, lit, bound):
         """Loop over the facts that agree on the bound arguments of a
         positive literal, and match the others."""
         if self.loops == _MAX_LOOPS:
             self.chain(bound)
         keyed = [p for p, a in enumerate(lit.args) if _term_vars(a) <= bound]
-        spec = self.const((lit.pred, len(lit.args), tuple(keyed)))
-        key, inner, fields, tests = self.values([lit.args[p] for p in keyed]), set(bound), [], []
+        rows = self.rows(lit, keyed)
+        if keyed:
+            key = [lit.args[p] for p in keyed]
+            rows += f".get({self.value(key[0]) if len(key) == 1 else self.values(key)}, ())"
+        inner, fields, tests = set(bound), [], []
         for p, a in enumerate(lit.args):
             if p in keyed:
                 fields.append("_")
@@ -781,21 +819,23 @@ class _JoinSource:
             else:
                 fields.append(f"t{next(self.temps)}")
                 tests.append((a, fields[-1]))
-        row = "".join(f + ", " for f in fields) or "()"
-        rows = f"{self.method(src, 'lookup')}({spec}, {key})"
-        if not keyed and src != _STORE:  # FactIndex.lookup then returns every arity
-            rows = f"[r for r in {rows} if len(r) == {len(lit.args)}]"
-        self.emit(f"for {row} in {rows}:")
+        self.emit(f"for {''.join(f + ', ' for f in fields) or '()'} in {rows}:")
         self.depth, self.loops = self.depth + 1, self.loops + 1
         for a, x in tests:
             self.match(a, x, inner)
 
-    def check(self, lit, src):
+    def check(self, lit):
         """A builtin or negated literal whose variables are bound; a value
         it reads that is undefined fails it."""
         if not lit.builtin:
-            args = self.values(lit.args)
-            self.emit(f"if {self.method(src, 'holds')}({self.const(lit.pred)}, {args}): FAIL")
+            args, src = self.values(lit.args), f"ix(models[{lit.child - 1}])" if lit.child else "bg"
+            held = self.lazy((src, lit.pred), lambda: f"{src}.get({self.const(lit.pred)}, ())")
+            if lit.child or lit.pred not in self.local:
+                self.emit(f"if {args} in {held}: FAIL")
+            else:
+                atom, facts = f"t{next(self.temps)}", self.facts(lit.pred, len(lit.args))
+                self.emit(f"{atom} = {args}")
+                self.emit(f"if {atom} in {facts} or {atom} in {held}: FAIL")
             return
         left, right = operands = self.value(lit.args[0]), self.value(lit.args[1])
         if lit.builtin in ("=", "!="):
@@ -804,42 +844,62 @@ class _JoinSource:
             test = f"{'not ' if lit.neg else ''}{left} {_OPERATORS[lit.builtin]} {right}"
             self.emit(f"if not ({' and '.join(self.ints(operands, lit.args) + [test])}): FAIL")
 
-
-def _compile_rule(rule, local_preds):
-    """ctx -> stop for one rule, or None when the rule can never fire
-    because no order of its positives binds the variables of their sums."""
-    body = rule.body
-    positives = [i for i, l in enumerate(body) if not l.neg and not l.builtin]
-    checks = [i for i, l in enumerate(body) if l.builtin] + [
-        i for i, l in enumerate(body) if l.neg and not l.builtin]
-    steps = _plan_steps(body, positives, checks)
-    if steps is None:
-        return None
-    gen = _JoinSource(set().union(*map(literal_vars, body + ((rule.head,) if rule.head else ()))))
-    for kind, i, bound in steps:
-        lit = body[i]
-        if kind == "pos":
-            src = _BACKGROUND + lit.child if lit.child else _STORE if lit.pred in local_preds else _BACKGROUND
-            gen.scan(lit, bound, src)
-        elif kind == "check":
-            gen.check(lit, _BACKGROUND + lit.child if lit.child else _STORE)
+    def rule(self, rule, steps):
+        """One rule's join, which adds its head's atoms unless known; a
+        constraint's returns its id at its first violating binding."""
+        run, depth, start = self.body, self.depth, len(self.body)
+        names = set().union(*map(literal_vars, rule.body + ((rule.head,) if rule.head else ())))
+        self.v = {name: f"v{k}" for k, name in enumerate(sorted(names))}
+        self.violation = None if rule.head else f"return {self.const(rule.rule_id)}"
+        self.bare, self.loops = False, 0
+        for kind, i, bound in steps:
+            if kind == "pos":
+                self.scan(rule.body[i], bound)
+            elif kind == "check":
+                self.check(rule.body[i])
+            else:
+                var, term = _binder(rule.body[i], bound)
+                self.emit(f"{self.v[var]} = {self.value(term)}")
+        if rule.head is None:
+            self.emit(self.violation)
         else:
-            var, term = _binder(lit, bound)
-            gen.emit(f"{gen.v[var]} = {gen.value(term)}")
-    if rule.head is None:
-        gen.emit("return True")
-    else:
-        args = gen.values(rule.head.args)
-        gen.emit(f"{gen.method(_STORE, 'add')}({gen.const(rule.head.pred)}, {args})")
-    exec(compile(gen.source(), "<join>", "exec"), gen.ns)
-    return gen.ns["f0"]
+            facts = self.facts(rule.head.pred, len(rule.head.args))
+            self.emit(f"a = {self.values(rule.head.args)}")
+            self.emit(f"if a not in {facts}:")
+            self.depth += 1
+            self.emit(f"{facts}.add(a)")
+            self.emit(f"atoms.append(({self.const(rule.head.pred)}, a))")
+            self.emit("if len(atoms) > cap:")
+            self.emit("    raise Overflow(f'more than {cap} ground atoms derived')")
+        if self.bare:
+            run[start:] = ["    " * depth + "for _ in (0,):"] + [
+                "    " + line for line in run[start:]]
+        self.body, self.depth, self.shared = run, depth, None
+
+    def group(self, preds, rules):
+        """Rounds of a recursive group's rules until one derives no atom,
+        each over indexes of the group's predicates built afresh."""
+        count = f"g{next(self.temps)}"
+        self.emit("while True:")
+        self.depth += 1
+        self.emit(f"{count} = len(atoms)")
+        start, self.own = len(self.body), preds
+        for rule, steps in rules:
+            self.rule(rule, steps)
+        self.own = ()
+        resets = [name for (src, spec), (name, _) in self.lazies.items()
+                  if src == "store" and spec[0] in preds]
+        if resets:
+            self.body.insert(start, "    " * self.depth + " = ".join(resets) + " = None")
+        self.emit(f"if len(atoms) == {count}: break")
+        self.depth -= 1
 
 
 class _Plan:
-    """Rule groups in dependency order as (recursive, [(rule, join)]),
-    constraints as [(rule, join)], and the runnable plan per set of
-    unrealised read positions.  Fragments with equal rules (instances of
-    one task) share a plan through ``_PLANS`` while one of them lives."""
+    """Rule groups in dependency order as (its predicates if recursive, else
+    None, [(rule, join steps)]), constraints as [(rule, join steps)], and
+    the runnable plans (``LogicFragment._runnable``); shared through
+    ``_PLANS`` by fragments with equal rules while one of them lives."""
 
     __slots__ = ("groups", "constraints", "runnable", "__weakref__")
 
@@ -848,54 +908,53 @@ _PLANS = weakref.WeakValueDictionary()  # rules -> _Plan
 
 
 def _compile_fragment(fragment):
-    local, groups = fragment.local_preds, []
+    plan = _PLANS[fragment.rules] = _Plan()
+    plan.groups, plan.runnable = [], {}
     for comp in fragment._components:
         rules = [r for r in fragment.rules if r.head is not None and r.head.pred in comp]
         recursive = len(comp) > 1 or any(
             not l.neg and l.child is None and l.pred in comp for r in rules for l in r.body
         )
-        groups.append((recursive, [(r, _compile_rule(r, local)) for r in rules]))
-    plan = _PLANS[fragment.rules] = _Plan()
-    plan.groups, plan.runnable = groups, {}
-    plan.constraints = [(r, _compile_rule(r, local)) for r in fragment.rules if r.head is None]
+        steps = [(r, _plan_steps(r.body)) for r in rules]
+        plan.groups.append(
+            (comp if recursive else None, [(r, s) for r, s in steps if s is not None]))
+    steps = [(r, _plan_steps(r.body)) for r in fragment.rules if r.head is None]
+    plan.constraints = [(r, s) for r, s in steps if s is not None]
     return plan
+
+
+def _compile_runnable(fragment, plan, unrealized):
+    """(run, deferred rule ids) for the rules live while ``unrealized``
+    positions are not realised."""
+    live = lambda r: not (fragment.rule_defer_deps[r.rule_id] & unrealized)
+    gen = _JoinSource(fragment.local_preds)
+    for preds, rules in plan.groups:
+        rules = [(r, steps) for r, steps in rules if live(r)]
+        if not preds:
+            for rule, steps in rules:
+                gen.rule(rule, steps)
+        elif rules:
+            gen.group(preds, rules)
+    for rule, steps in plan.constraints:
+        if live(rule):
+            gen.rule(rule, steps)
+    exec(compile(gen.source(), "<evaluation>", "exec"), gen.ns)
+    return gen.ns["run"], tuple(r.rule_id for r in fragment.rules if not live(r))
 
 
 def evaluate_node(fragment, child_models, background, atom_cap=DEFAULT_ATOM_CAP):
     """Evaluate one parse-tree node's annotation.
 
-    ``child_models`` holds one entry per RHS position: a frozenset of atoms
-    for realised children (terminals are always the empty model), or None
-    for children not yet realised.  ``background`` is a pred->set(args)
-    index, visible in rule bodies but not re-exported.
-
-    Rule groups run in dependency order: a non-recursive group once, a
-    recursive one in rounds of all its joins until a round adds no atom.
+    ``child_models`` holds the children's models left to right: a frozenset
+    of atoms for a realised child (a terminal's is empty), or None for one
+    not yet realised; positions past its end are not realised either.
+    ``background`` is a pred->set(args) index, visible in rule bodies but
+    not re-exported.  Rules that read an unrealised position are deferred.
     """
-    unrealized = frozenset([k for k in fragment.child_reads if child_models[k - 1] is None])
-    groups, constraints, deferred = fragment._runnable(unrealized)
+    run, deferred = fragment._runnable(child_models)
     if not isinstance(background, FactIndex):
         background = FactIndex(background)
-    store = _Store(background, atom_cap)
-    ctx = [store, background] + [None] * len(child_models)
-    for k in fragment.child_reads:
-        m = child_models[k - 1]
-        if m is not None:
-            ctx[_BACKGROUND + k] = index_model(m)
-    atoms = store.atoms
-    for recursive, joins in groups:
-        grew = True
-        while grew:
-            start = len(atoms)
-            if recursive:
-                store.indexes.clear()  # the group's own predicates may have grown
-            for join in joins:
-                join(ctx)
-            grew = recursive and len(atoms) > start
-    for rule_id, join in constraints:
-        if join(ctx):
-            return SatResult(UNSAT, violated=rule_id)
-    model = frozenset(atoms)
-    if deferred:
-        return SatResult(DEFERRED, model=model, deferred=deferred)
-    return SatResult(SAT, model=model)
+    atoms = run(background, child_models, atom_cap)
+    if atoms.__class__ is str:
+        return SatResult(UNSAT, violated=atoms)
+    return SatResult(DEFERRED if deferred else SAT, frozenset(atoms), None, deferred)

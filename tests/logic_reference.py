@@ -213,7 +213,9 @@ def _reorder_body(body):
 
 
 def evaluate_node_reference(fragment, child_models, background, atom_cap=DEFAULT_ATOM_CAP):
-    """Same contract as ``asgdec.logic.evaluate_node``."""
+    """Same contract as ``asgdec.logic.evaluate_node``: positions past the
+    end of ``child_models`` are unrealised."""
+    child_models = list(child_models) + [None] * (fragment.max_child - len(child_models))
     unrealized = frozenset(k + 1 for k, m in enumerate(child_models) if m is None)
     child_idx = [
         _index(m) if isinstance(m, frozenset) else (m if m is not None else {})

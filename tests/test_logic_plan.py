@@ -2,8 +2,8 @@
 ``logic_reference``: random non-ground stratified programs, the
 evaluations made while sampling on the task grammars, bodies longer than
 one generated function nests, names that are also names of the generated
-source, and joins whose checks meet undefined values, which drop the
-binding wherever the plan places the check."""
+source, joins whose checks meet undefined values, which drop the binding
+wherever the plan places the check, and a node's evaluations dot by dot."""
 
 import os
 import random
@@ -19,7 +19,9 @@ from asgdec import earley
 from asgdec.align import TerminalTokenizer, build_map
 from asgdec.decoding import DecodeConfig, generate
 from asgdec.errors import AsgError, AsgSyntaxError, StratificationError
-from asgdec.logic import SAT, UNSAT, LogicFragment, QStr, Tup, evaluate_node, parse_rules
+from asgdec.logic import (
+    DEFAULT_ATOM_CAP, SAT, UNSAT, LogicFragment, QStr, Tup, evaluate_node, parse_rules,
+)
 from asgdec.policy import UniformPolicy
 from asgdec.tasks import TASK_IDS, generate_instances
 
@@ -138,9 +140,9 @@ def _model(rng, pred, arity):
     )
 
 
-def _outcome(evaluate, fragment, children, background):
+def _outcome(evaluate, fragment, children, background, cap=DEFAULT_ATOM_CAP):
     try:
-        r = evaluate(fragment, list(children), background)
+        r = evaluate(fragment, list(children), background, cap)
     except AsgError as exc:
         return type(exc)
     return (r.status, r.model, r.violated, r.deferred)
@@ -165,6 +167,31 @@ def test_compiled_evaluator_matches_reference(seed):
     assert _outcome(evaluate_node, fragment, children, background) == _outcome(
         evaluate_node_reference, fragment, children, background
     ), text
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300, deadline=None)
+def test_evaluations_dot_by_dot_match_reference(seed):
+    # as the parser feeds a node's children: one more realised child at
+    # each dot, the positions past the end unrealised; the same children
+    # padded with None must agree, and a small cap sometimes overflows
+    rng = random.Random(seed)
+    text = _program(rng)
+    try:
+        fragment = LogicFragment(parse_rules(text, "t"), "t")
+    except (AsgSyntaxError, StratificationError):
+        assume(False)
+    children = [_model(rng, "c", 2), _model(rng, "d", 1), frozenset()]
+    background = {"b": {(GROUND[v],) for v in rng.sample(VALUES, 3)}}
+    if rng.random() < 0.3:
+        background["p0"] = {tuple(GROUND[rng.choice(VALUES)] for _ in range(2))}
+    cap = rng.choice([3, 8, DEFAULT_ATOM_CAP])
+    for dot in range(len(children) + 1):
+        realised = children[:dot]
+        padded = realised + [None] * (len(children) - dot)
+        want = _outcome(evaluate_node_reference, fragment, realised, background, cap)
+        assert _outcome(evaluate_node, fragment, realised, background, cap) == want, (text, dot)
+        assert _outcome(evaluate_node, fragment, padded, background, cap) == want, (text, dot)
 
 
 def _frag(text):

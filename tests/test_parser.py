@@ -152,17 +152,17 @@ def test_session_memo_keys_on_the_positions_literals_read():
     frag = LogicFragment(parse_rules("q(X) :- p(X)@1."), "f")
     m, empty, bg = frozenset({("p", (1,))}), frozenset(), {}
     session = Session()
-    first = session.evaluate(frag, (m,), 3, bg)
+    first = session.evaluate(frag, (m,), bg)
     # advancing over positions 2 and 3, which no literal reads, is a hit
-    assert session.evaluate(frag, (m, empty), 3, bg) is first
-    assert session.evaluate(frag, (m, empty, empty), 3, bg) is first
+    assert session.evaluate(frag, (m, empty), bg) is first
+    assert session.evaluate(frag, (m, empty, empty), bg) is first
     assert (session.node_evals, session.eval_cache_hits) == (1, 2)
     assert first.status == SAT and first.model == {("q", (1,))}
     # an unrealised read position is part of the key
-    assert session.evaluate(frag, (), 3, bg).status == DEFERRED
+    assert session.evaluate(frag, (), bg).status == DEFERRED
     assert session.node_evals == 2
     # a fragment without rules is never evaluated
-    assert session.evaluate(EMPTY_FRAGMENT, (empty,), 1, bg).status == SAT
+    assert session.evaluate(EMPTY_FRAGMENT, (empty,), bg).status == SAT
     assert (session.node_evals, session.eval_cache_hits) == (2, 2)
 
 
