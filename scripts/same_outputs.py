@@ -5,12 +5,15 @@ operations and parse the task grammars the same way.
 Runs one pass of every operation of the four perfbench workloads against
 this checkout's ``src/`` and against another tree's, each in its own
 process and both with this checkout's ``perfbench/``.  Per operation it
-compares the token ids (verdicts for ``verify_words``), the outcome, and
-whether the operation failed and as which kept fault.  The ``grammars``
-check parses every task's instances at the seed, plus the packaged
-``.asg`` files, and compares the printed grammar, the start symbol, the
-terminals, and every production id, fragment name and rule id.  Prints one
-line per check and seed, and exits 1 on any difference.
+compares the token ids (verdicts for ``verify_words``), the outcome,
+whether the operation failed and as which kept fault, and the search work
+(``Outcome.search``: rollouts, simulations and the largest branching;
+empty outside ``mcts_search``), so a refactor of the search must show the
+same work, not only the same tokens.  The ``grammars`` check parses every
+task's instances at the seed, plus the packaged ``.asg`` files, and
+compares the printed grammar, the start symbol, the terminals, and every
+production id, fragment name and rule id.  Prints one line per check and
+seed, and exits 1 on any difference.
 
 Usage:
     python scripts/same_outputs.py --other ../parent/src --seeds 5 7 11
@@ -54,7 +57,7 @@ def grammar_rows(seed):
             [[k, f.name, [r.rule_id for r in f.rules]]
              for k, f in fragments + [("background", g.background)]],
         ]
-        rows.append([label, parse, "grammar", True, None])
+        rows.append([label, parse, "grammar", True, None, []])
     return rows
 
 
@@ -73,7 +76,7 @@ def dump(src, workload, seed):
     rows = []
     for op in SETUPS[workload](seed).ops:
         out = op.run()
-        rows.append([op.label, repr(out.ids), out.kind, out.ok, out.known])
+        rows.append([op.label, repr(out.ids), out.kind, out.ok, out.known, list(out.search)])
     json.dump(rows, sys.stdout)
 
 
@@ -89,7 +92,7 @@ def outputs(src, workload, seed):
 
 
 def kept_faults(rows):
-    return Counter(known for _, _, _, ok, known in rows if not ok and known)
+    return Counter(known for _, _, _, ok, known, _ in rows if not ok and known)
 
 
 def compare(mine, theirs):

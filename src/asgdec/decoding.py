@@ -104,20 +104,68 @@ def choose_token(dist, valid_ids, cfg, rng):
     return ids[bisect_right([c / cdf[-1] for c in cdf], rng.random())]
 
 
+class Prefix:
+    """One constrained step's position: the parse state, the alignment
+    cursor, the emitted terminals and the generated ids (EOS included).
+    Its time in the parser and the mask adds to ``Session.constraint_seconds``."""
+
+    __slots__ = ("state", "cursor", "terminals", "ids", "token_map", "_mask")
+
+    def __init__(self, state, cursor, terminals, ids, token_map):
+        self.state = state
+        self.cursor = cursor
+        self.terminals = terminals
+        self.ids = ids
+        self.token_map = token_map
+        self._mask = None
+
+    @classmethod
+    def start(cls, grammar, token_map, session):
+        """The empty prefix of ``grammar``, parsed in ``session``."""
+        t0 = time.perf_counter()
+        state = earley.init(grammar, session)
+        state.parser.session.constraint_seconds += time.perf_counter() - t0
+        return cls(state, AlignCursor(), (), (), token_map)
+
+    def mask(self):
+        """The admissible next token ids, computed once; do not change the set."""
+        if self._mask is None:
+            t0 = time.perf_counter()
+            self._mask = align.valid_tokens(self.state, self.token_map, self.cursor)
+            self.state.parser.session.constraint_seconds += time.perf_counter() - t0
+        return self._mask
+
+    def push(self, tok):
+        """The prefix one token longer; EOS leaves the parse where it is."""
+        ids = self.ids + (tok,)
+        if tok == EOS_ID:
+            return Prefix(self.state, self.cursor, self.terminals, ids, self.token_map)
+        t0 = time.perf_counter()
+        state, cursor, emitted = align.apply_token(self.state, self.token_map, self.cursor, tok)
+        state.parser.session.constraint_seconds += time.perf_counter() - t0
+        terminals = self.terminals if emitted is None else self.terminals + (emitted,)
+        return Prefix(state, cursor, terminals, ids, self.token_map)
+
+    def result(self, outcome, **fields):
+        """The DecodeResult of a word that ends here with ``outcome``."""
+        text = "".join(self.terminals)
+        return DecodeResult(self.ids, text, self.terminals, outcome, len(self.ids), **fields)
+
+
 def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None):
     """One full generation run.
 
     ``grammar`` must already be the projection matching cfg.constraint
     (callers use strip_annotations / csg_projection); constraint level
-    ``none`` ignores the grammar entirely.
+    ``none`` ignores the grammar entirely.  ``constraint_seconds`` is this
+    run's time in the parser and the token mask.
     """
     rng = rng or np.random.default_rng(cfg.seed)
     ctx = PolicyContext(prompt=tuple(prompt_ids))
-    tokens = []
-    t_constraint = 0.0
     outcome = MAX_LENGTH
 
     if cfg.constraint == "none":
+        tokens = []
         for _ in range(cfg.max_tokens):
             dist = policy.next_distribution(ctx)
             valid = range(policy.vocab_size)
@@ -131,40 +179,24 @@ def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None
         terminals, bad = align.segment(token_map.terminals(), text)
         if bad is not None:
             terminals = None
-        return DecodeResult(
-            tuple(tokens), text, terminals, outcome, len(tokens),
-            constraint_seconds=t_constraint,
-        )
+        return DecodeResult(tuple(tokens), text, terminals, outcome, len(tokens))
 
-    t0 = time.perf_counter()
-    state = earley.init(grammar, session)
-    t_constraint += time.perf_counter() - t0
-    cursor = AlignCursor()
-    terminals = []
+    session = session or earley.Session()
+    spent = session.constraint_seconds
+    prefix = Prefix.start(grammar, token_map, session)
     for _ in range(cfg.max_tokens):
-        t0 = time.perf_counter()
-        valid = align.valid_tokens(state, token_map, cursor)
-        t_constraint += time.perf_counter() - t0
+        valid = prefix.mask()
         if not valid:
             outcome = DEAD_END
             break
         dist = policy.next_distribution(ctx)
         tok = choose_token(dist, valid, cfg, rng)
-        tokens.append(tok)
+        prefix = prefix.push(tok)
         ctx = ctx.append(tok)
         if tok == EOS_ID:
             outcome = COMPLETED
             break
-        t0 = time.perf_counter()
-        state, cursor, emitted = align.apply_token(state, token_map, cursor, tok)
-        t_constraint += time.perf_counter() - t0
-        if emitted is not None:
-            terminals.append(emitted)
-    text = "".join(terminals)
-    return DecodeResult(
-        tuple(tokens), text, tuple(terminals), outcome, len(tokens),
-        constraint_seconds=t_constraint,
-    )
+    return prefix.result(outcome, constraint_seconds=session.constraint_seconds - spent)
 
 
 def _safe_decode(token_map, tokens):

@@ -80,7 +80,8 @@ class Session:
     hold ``id``s; every keyed object is kept alive in ``_pinned`` so that
     no id is reused while the memo lives.  Live-chart nodes are interned
     per grammar and forest cap in the ``_Parser`` of each, which lives as
-    long as some state of that parse does.
+    long as some state of that parse does.  The counters are running totals;
+    ``constraint_seconds`` is ``decoding.Prefix``'s time in parser and mask.
     """
 
     def __init__(self):
@@ -88,6 +89,7 @@ class Session:
         self.exports = {}  # (kept predicates, model) -> the exported Model
         self.node_evals = 0
         self.eval_cache_hits = 0
+        self.constraint_seconds = 0.0
         self.violation_log = None  # list of (prod_id, violated ids) when set
         self._pinned = {}  # id -> object named by an id in a memo key
         self._parsers = weakref.WeakValueDictionary()  # (id(grammar), cap) -> _Parser

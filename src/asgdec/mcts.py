@@ -2,22 +2,24 @@
 
 PUCB selection over Q(s,a) + beta * prior * sqrt(sum_b N(s,b)) / (1 + N(s,a)),
 expansion restricted to the valid-token set, greedy constrained rollouts,
-and mean-value backpropagation.  Expansions and rollouts are computed once
-per node and reused, including across searches that share the tree.
+and mean-value backpropagation.  Every node holds a ``decoding.Prefix``,
+the constrained step that sampling takes too: expansion, forced moves and
+rollouts mask and advance through it, so a node's mask is computed once.
+Expansions and rollouts are computed once per node and reused, including
+across searches that share the tree.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from . import align, earley
-from .align import EOS_ID, AlignCursor
-from .decoding import COMPLETED, DEAD_END, MAX_LENGTH, DecodeResult, masked_logprobs
+from . import earley
+from .align import EOS_ID
+from .decoding import COMPLETED, DEAD_END, MAX_LENGTH, Prefix, masked_logprobs
 from .policy import PolicyContext
 
 
@@ -52,28 +54,16 @@ class SearchStats:
     """Counters of one ``search`` call."""
 
     rollouts: int = 0
-    policy_calls: int = 0
+    policy_calls: int = 0  # next_distribution calls made by this search
     cache_hits: int = 0  # logic memo hits during this search
     max_branching: int = 0
     simulations: int = 0
     constraint_seconds: float = 0.0  # in the parser and the token mask
 
 
-def _timed(stats, fn, *args):
-    """fn(*args), with its wall time added to the search's constraint time."""
-    t0 = time.perf_counter()
-    try:
-        return fn(*args)
-    finally:
-        stats.constraint_seconds += time.perf_counter() - t0
-
-
 class SearchNode:
     __slots__ = (
-        "state",
-        "cursor",
-        "terminals",
-        "ids",
+        "prefix",
         "priors",
         "visits",
         "values",
@@ -85,11 +75,8 @@ class SearchNode:
         "exact_value",
     )
 
-    def __init__(self, state, cursor, terminals, ids):
-        self.state = state
-        self.cursor = cursor
-        self.terminals = terminals  # emitted terminal tuple
-        self.ids = ids  # generated token ids, EOS included
+    def __init__(self, prefix):
+        self.prefix = prefix  # the decoding.Prefix this node stands at
         self.priors = None  # token id -> prior prob
         self.visits = {}
         self.values = {}
@@ -137,14 +124,11 @@ class SearchTree:
     """Reusable tree rooted at a fixed prompt + grammar."""
 
     def __init__(self, grammar, token_map, prompt_ids, session=None):
-        self.grammar = grammar
-        self.token_map = token_map
         self.prompt_ids = tuple(prompt_ids)
         self.session = session or earley.Session()
         # tokens that spell a whole terminal on their own -> that terminal
         self.singles = {enc[0]: t for t, enc in token_map.canonical.items() if len(enc) == 1}
-        state = earley.init(grammar, self.session)
-        self.root = SearchNode(state, AlignCursor(), (), ())
+        self.root = SearchNode(Prefix.start(grammar, token_map, self.session))
 
 
 def search(tree, policy, reward, cfg):
@@ -153,13 +137,13 @@ def search(tree, policy, reward, cfg):
     the token mask.
 
     Stops at the first reward-1 rollout (the reward's global maximum) or
-    at budget exhaustion.  ``policy`` should expose a ``calls`` counter
-    (CountingPolicy) for the policy-call statistic; otherwise that field
-    stays zero.
+    at budget exhaustion.  The stats count this search's own work: its
+    policy calls, and its memo hits and constraint time as deltas of the
+    tree's Session counters.
     """
     stats = SearchStats()
-    calls_before = getattr(policy, "calls", 0)
-    hits_before = tree.session.eval_cache_hits
+    session = tree.session
+    hits_before, spent = session.eval_cache_hits, session.constraint_seconds
     best = None  # (reward, DecodeResult)
     rng = np.random.default_rng(cfg.seed)
 
@@ -176,8 +160,8 @@ def search(tree, policy, reward, cfg):
         if best is not None and best[0] >= 1.0:
             break
 
-    stats.policy_calls = getattr(policy, "calls", 0) - calls_before
-    stats.cache_hits = tree.session.eval_cache_hits - hits_before
+    stats.cache_hits = session.eval_cache_hits - hits_before
+    stats.constraint_seconds = session.constraint_seconds - spent
     if best is None:
         return None, stats
     return replace(best[1], constraint_seconds=stats.constraint_seconds), stats
@@ -189,8 +173,7 @@ def _simulate(tree, policy, reward, cfg, stats, rng):
     while True:
         if node.terminal_reward is not None:
             backpropagate(path, node.terminal_reward)
-            _, cached = node.rollout or (None, None)
-            return node.terminal_reward, cached
+            return node.rollout  # a leaf's rollout is its own word
         if not node.expanded:
             _expand(tree, node, policy, stats)
             value, result = _rollout(tree, node, policy, reward, cfg, stats, rng)
@@ -209,55 +192,38 @@ def _simulate(tree, policy, reward, cfg, stats, rng):
         path.append((node, a))
         child = node.children.get(a)
         if child is None:
-            child = _make_child(tree, node, a, reward, cfg, stats)
+            child = _make_child(node, a, reward, cfg)
             node.children[a] = child
         node = child
 
 
 def _expand(tree, node, policy, stats):
-    valid = _timed(stats, align.valid_tokens, node.state, tree.token_map, node.cursor)
-    stats.max_branching = max(
-        stats.max_branching, len(_timed(stats, earley.valid_terminals, node.state))
-    )
+    valid = node.prefix.mask()  # which leaves the state's terminal set cached
+    branching = len(earley.valid_terminals(node.prefix.state))
+    stats.max_branching = max(stats.max_branching, branching)
+    node.expanded = True
     if not valid:
-        # dead end; _rollout scores it via the distance function
-        node.expanded = True
-        node.priors = {}
+        node.priors = {}  # a dead end; _rollout scores it by the distance
         return
-    ctx = PolicyContext(tree.prompt_ids, node.ids)
-    dist = policy.next_distribution(ctx)
+    stats.policy_calls += 1
+    dist = policy.next_distribution(PolicyContext(tree.prompt_ids, node.prefix.ids))
     ids, lp = masked_logprobs(dist, valid)
     node.priors = {i: math.exp(x) for i, x in zip(ids, lp)}
-    node.expanded = True
 
 
-def _make_child(tree, node, action, reward, cfg, stats):
-    ids = node.ids + (action,)
-    if action == EOS_ID:
-        child = SearchNode(node.state, node.cursor, node.terminals, ids)
-        return _leaf(child, reward, COMPLETED)
-    state, cursor, emitted = _timed(
-        stats, align.apply_token, node.state, tree.token_map, node.cursor, action
-    )
-    terminals = node.terminals + (emitted,) if emitted else node.terminals
+def _make_child(node, action, reward, cfg):
+    prefix = node.prefix.push(action)
     # collapse forced moves: while exactly one token is admissible, take it,
     # so tree depth counts decision points rather than raw tokens
-    while len(ids) < cfg.max_tokens:
-        forced = _timed(stats, align.valid_tokens, state, tree.token_map, cursor)
+    while prefix.ids[-1] != EOS_ID and len(prefix.ids) < cfg.max_tokens:
+        forced = prefix.mask()
         if len(forced) != 1:
             break
-        tok = next(iter(forced))
-        ids += (tok,)
-        if tok == EOS_ID:
-            child = SearchNode(state, cursor, terminals, ids)
-            return _leaf(child, reward, COMPLETED)
-        state, cursor, emitted = _timed(
-            stats, align.apply_token, state, tree.token_map, cursor, tok
-        )
-        if emitted is not None:
-            terminals = terminals + (emitted,)
-    child = SearchNode(state, cursor, terminals, ids)
-    if len(ids) >= cfg.max_tokens:
+        prefix = prefix.push(next(iter(forced)))
+    child = SearchNode(prefix)
+    if prefix.ids[-1] == EOS_ID:
+        return _leaf(child, reward, COMPLETED)
+    if len(prefix.ids) >= cfg.max_tokens:
         _leaf(child, reward, MAX_LENGTH)
     return child
 
@@ -265,23 +231,15 @@ def _make_child(tree, node, action, reward, cfg, stats):
 def _leaf(node, reward, outcome):
     """Close ``node`` as a leaf whose word ends there (at EOS, a dead end
     or the depth cap), so that its value is exact."""
-    value = reward.of(node.terminals, outcome == COMPLETED)
+    value = reward.of(node.prefix.terminals, outcome == COMPLETED)
     node.terminal_reward = node.exact_value = value
-    text = "".join(node.terminals)
-    result = DecodeResult(node.ids, text, node.terminals, outcome, len(node.ids))
-    node.rollout = (value, result)
+    node.rollout = (value, node.prefix.result(outcome))
     node.expanded = node.exhausted = True
     node.priors = {}
     return node
 
 
-def _argmax_pool(ids, weights):
-    """Token ids tied (within float tolerance) for the highest weight."""
-    top = max(weights) - 1e-12
-    return [i for i, w in zip(ids, weights) if w >= top]
-
-
-def _distance_ties(pool, cursor, terminals, rho, singles, rng):
+def _distance_ties(pool, prefix, rho, singles, rng):
     """Break policy ties by the task distance of the word each token leads
     to, so a flat policy descends the distance function instead of walking
     blindly.  Tokens whose effect on the word is not immediate (mid-terminal
@@ -292,12 +250,12 @@ def _distance_ties(pool, cursor, terminals, rho, singles, rng):
     scored = []
     for tok in pool:
         if tok == EOS_ID:
-            cost = abs(rho(tuple(terminals)))
-        elif cursor.at_boundary and tok in singles:
-            cost = abs(rho(tuple(terminals) + (singles[tok],)))
+            cost = abs(rho(prefix.terminals))
+        elif prefix.cursor.at_boundary and tok in singles:
+            cost = abs(rho(prefix.terminals + (singles[tok],)))
         else:
             if here is None:
-                here = abs(rho(tuple(terminals)))
+                here = abs(rho(prefix.terminals))
             cost = here
         scored.append((cost, tok))
     best = min(c for c, _ in scored)
@@ -314,83 +272,58 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
     if not node.priors:  # dead end discovered at expansion
         return _leaf(node, reward, DEAD_END).rollout
     stats.rollouts += 1
-    state, cursor, terminals = node.state, node.cursor, list(node.terminals)
-    ids = list(node.ids)
+    prefix = node.prefix
     outcome = MAX_LENGTH
     prior_step = True
-    best_stop = None  # (value, ids, terminals) at a completable point
+    best_stop = None  # (value, prefix) at a completable point
     # choice points for bounded backtracking: instead of scoring a dead-end
-    # continuation, back up to the last step with untried tokens and take a
-    # different branch.  hop cap bounds the total work per rollout.
-    frames = []
+    # continuation, resume at the last step with untried tokens, from those
+    # alone.  The hop cap bounds the total work per rollout.
+    frames = []  # (prefix, untried ids)
     pending = None
     hops = 0
-    while len(ids) < cfg.max_tokens:
+    while len(prefix.ids) < cfg.max_tokens and hops < cfg.max_tokens * 8:
         hops += 1
-        if hops > cfg.max_tokens * 8:
+        valid, pending = pending or prefix.mask(), None
+        if not valid:
+            if frames:
+                prefix, pending = frames.pop()
+                continue
+            outcome = DEAD_END
             break
-        if pending is not None:
-            valid, pending = pending, None
-        elif prior_step:
-            valid = set(node.priors)
-        else:
-            valid = _timed(stats, align.valid_tokens, state, tree.token_map, cursor)
-            if not valid:
-                if frames:
-                    state, cursor, n_t, n_i, rest = frames.pop()
-                    del terminals[n_t:]
-                    del ids[n_i:]
-                    pending = rest
-                    continue
-                outcome = DEAD_END
-                break
         # optimal stopping: remember the best point where the word could
         # have been completed, and stop outright at a maximal-reward word
         if EOS_ID in valid:
-            cand = reward.of(terminals, True)
+            cand = reward.of(prefix.terminals, True)
             if best_stop is None or cand > best_stop[0]:
-                best_stop = (cand, ids + [EOS_ID], tuple(terminals))
+                best_stop = (cand, prefix)
             if cand >= 1.0:
-                ids.append(EOS_ID)
-                outcome = COMPLETED
-                break
+                break  # best_stop outscores any word without EOS
         if prior_step:
-            order = sorted(valid)
-            pool = _argmax_pool(order, [node.priors[a] for a in order])
+            weights = node.priors
         else:
             # the argmax of the renormalised distribution is the argmax of
             # the raw log-probabilities over the valid ids
-            ctx = PolicyContext(tree.prompt_ids, tuple(ids))
-            logprobs = policy.next_distribution(ctx).logprobs
-            order = sorted(valid)
-            pool = _argmax_pool(order, [float(logprobs[a]) for a in order])
-        tok = _distance_ties(pool, cursor, terminals, reward.rho, tree.singles, rng)
-        rest = set(valid)
-        rest.discard(tok)
+            stats.policy_calls += 1
+            ctx = PolicyContext(tree.prompt_ids, prefix.ids)
+            weights = policy.next_distribution(ctx).logprobs
+        # the ids tied (within float tolerance) for the highest weight
+        order = sorted(valid)
+        scores = [float(weights[a]) for a in order]
+        top = max(scores) - 1e-12
+        pool = [a for a, w in zip(order, scores) if w >= top]
+        tok = _distance_ties(pool, prefix, reward.rho, tree.singles, rng)
+        rest = valid - {tok}
         if rest:
-            frames.append((state, cursor, len(terminals), len(ids), rest))
+            frames.append((prefix, rest))
         prior_step = False
-        ids.append(tok)
+        prefix = prefix.push(tok)
         if tok == EOS_ID:
             outcome = COMPLETED
             break
-        state, cursor, emitted = _timed(
-            stats, align.apply_token, state, tree.token_map, cursor, tok
-        )
-        if emitted is not None:
-            terminals.append(emitted)
-    value = reward.of(terminals, outcome == COMPLETED)
+    value = reward.of(prefix.terminals, outcome == COMPLETED)
     if best_stop is not None and best_stop[0] > value:
-        value, ids, stop_terminals = best_stop
-        terminals = list(stop_terminals)
+        value, prefix = best_stop[0], best_stop[1].push(EOS_ID)
         outcome = COMPLETED
-    result = DecodeResult(
-        token_ids=tuple(ids),
-        text="".join(terminals),
-        terminals=tuple(terminals),
-        outcome=outcome,
-        tokens_generated=len(ids),
-        reward=value,
-    )
-    node.rollout = (value, result)
+    node.rollout = (value, prefix.result(outcome, reward=value))
     return node.rollout

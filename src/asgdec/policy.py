@@ -171,8 +171,8 @@ class RemotePolicy:
 
 
 class CountingPolicy:
-    """Wrapper that counts next_distribution calls (used by search caches
-    and the instrumentation asserts in the test suite)."""
+    """Wrapper that counts next_distribution calls, for the test suite's
+    asserts; a search counts its own in ``SearchStats.policy_calls``."""
 
     def __init__(self, inner):
         self.inner = inner

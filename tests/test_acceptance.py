@@ -430,7 +430,7 @@ def test_09_warm_tree_reuse_skips_known_work(anbncn_grammar, monkeypatch):
     # replaying any word the search already walked costs zero fresh parser
     # node evaluations: the per-session memo answers everything
     evals = session.node_evals
-    state = tree.root.state
+    state = tree.root.prefix.state
     for t in result.terminals:
         state = extend(state, t)
     valid_terminals(state)
@@ -532,7 +532,7 @@ def test_11_selection_matches_frozen_scores():
             q = values.get(a, 0.0) / n if n else 0.0
             score = q + beta * prior * math.sqrt(total) / (1 + n)
             assert abs(score - expected_scores[a]) < 1e-9, (a, score)
-        node = SearchNode(state=None, cursor=None, terminals=(), ids=())
+        node = SearchNode(prefix=None)
         node.priors = dict(priors)
         node.visits = dict(visits)
         node.values = dict(values)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import asgdec.mcts as mcts_mod
+from asgdec import align
 from asgdec import (
     EOS_ID,
     CountingPolicy,
@@ -28,7 +29,7 @@ from conftest import anbncn_member, copy_member
 
 
 def make_node(priors, visits=None, values=None):
-    node = SearchNode(state=None, cursor=None, terminals=(), ids=())
+    node = SearchNode(prefix=None)
     node.priors = dict(priors)
     node.visits = dict(visits or {})
     node.values = dict(values or {})
@@ -70,12 +71,12 @@ def test_select_child_ties_break_to_lowest_id():
 
 def test_select_child_skips_exhausted_subtrees():
     node = make_node(priors={1: 0.9, 2: 0.1})
-    done = SearchNode(None, None, (), 1)
+    done = SearchNode(None)
     done.exhausted = True
     done.exact_value = 1.0
     node.children[1] = done
     assert select_child(node, 1.0) == 2
-    other = SearchNode(None, None, (), 1)
+    other = SearchNode(None)
     other.exhausted = True
     other.exact_value = -1.0
     node.children[2] = other
@@ -254,7 +255,7 @@ def test_resume_never_reexpands_or_reevaluates(anbncn_grammar, monkeypatch):
     evals_before = session.node_evals
     # replaying an already-seen word through the shared parser state costs
     # zero fresh node evaluations
-    state = tree.root.state
+    state = tree.root.prefix.state
     for t in r1.terminals:
         state = extend(state, t)
     assert session.node_evals == evals_before
@@ -306,3 +307,38 @@ def test_search_reports_its_own_constraint_time_and_cache_hits(anbncn_grammar):
         assert result.constraint_seconds > 0
         assert result.constraint_seconds == stats.constraint_seconds
         assert stats.cache_hits == session.eval_cache_hits - hits_before
+
+
+def test_search_counts_its_own_policy_calls(anbncn_grammar):
+    # a bare policy has no call counter; the search counts its own calls
+    tmap = build_map(anbncn_grammar.terminals, TerminalTokenizer(anbncn_grammar.terminals))
+    from asgdec.tasks.sgs import anbncn_rho
+
+    cfg = SearchConfig(budget=10, max_tokens=20, seed=0)
+    bare = UniformPolicy(tmap.vocab_size)
+    counting = CountingPolicy(UniformPolicy(tmap.vocab_size))
+    _, bare_stats = search(SearchTree(anbncn_grammar, tmap, ()), bare, Reward(anbncn_rho(4)), cfg)
+    _, stats = search(SearchTree(anbncn_grammar, tmap, ()), counting, Reward(anbncn_rho(4)), cfg)
+    assert bare_stats.policy_calls == stats.policy_calls == counting.calls > 0
+
+
+def test_a_new_child_is_masked_once(anbncn_grammar, monkeypatch):
+    # the forced-move loop masks a new child's final prefix; its expansion
+    # must reuse that mask rather than compute it again
+    tmap = build_map(anbncn_grammar.terminals, TerminalTokenizer(anbncn_grammar.terminals))
+    masked = []
+    valid_tokens = align.valid_tokens
+
+    def record(state, token_map, cursor):
+        masked.append((state, cursor))
+        return valid_tokens(state, token_map, cursor)
+
+    monkeypatch.setattr(align, "valid_tokens", record)
+    # without rollouts every mask is taken by _make_child or _expand, and no
+    # two nodes share a parse state and cursor
+    monkeypatch.setattr(mcts_mod, "_rollout", lambda *args: (0.0, None))
+    tree = SearchTree(anbncn_grammar, tmap, ())
+    _, stats = search(tree, UniformPolicy(tmap.vocab_size), Reward(rho=lambda w: 1.0),
+                      SearchConfig(budget=1, max_tokens=12))
+    assert stats.simulations > 8
+    assert len(masked) == len(set(masked))
