@@ -35,12 +35,16 @@ class TokenMap:
 
     ``expansions`` admits every segmentation so that masking never excludes
     a spelling the model could produce; ``canonical`` is the tokenizer's own
-    encoding, used when the engine itself emits a terminal.
+    encoding, used when the engine itself emits a terminal.  ``spelled``
+    and ``continued`` index the expansions for ``apply_token``: an
+    expansion spells one text, so it names one terminal.
     """
 
     expansions: dict  # terminal -> tuple of token-id tuples
     canonical: dict  # terminal -> token-id tuple
     vocab_size: int
+    spelled: dict  # expansion -> its terminal
+    continued: dict  # proper prefix of an expansion -> set of terminals
 
     def terminals(self):
         return self.expansions.keys()
@@ -54,6 +58,8 @@ def build_map(terminals, tokenizer):
             pieces.setdefault(text, []).append(tid)
     expansions = {}
     canonical = {}
+    spelled = {}
+    continued = {}
     for term in sorted(terminals):
         segs = _segmentations(term, pieces)
         if not segs:
@@ -63,10 +69,16 @@ def build_map(terminals, tokenizer):
         expansions[term] = tuple(sorted(segs))
         enc = tuple(tokenizer.encode(term))
         canonical[term] = enc if tuple(enc) in segs else expansions[term][0]
+        for exp in segs:
+            spelled[exp] = term
+            for k in range(1, len(exp)):
+                continued.setdefault(exp[:k], set()).add(term)
     return TokenMap(
         expansions=expansions,
         canonical=canonical,
         vocab_size=tokenizer.vocab_size,
+        spelled=spelled,
+        continued=continued,
     )
 
 
@@ -174,17 +186,10 @@ def apply_token(state, token_map, cursor, token_id):
     """
     terms = valid_terminals(state)
     buffer = cursor.buffer + (token_id,)
-    completed = None
-    continues = False
-    for term in sorted(t for t in terms if t is not END_MARKER):
-        for exp in token_map.expansions[term]:
-            if exp == buffer and completed is None:
-                completed = term
-            elif len(exp) > len(buffer) and exp[: len(buffer)] == buffer:
-                continues = True
-    if completed is not None:
+    completed = token_map.spelled.get(buffer)
+    if completed in terms:
         return extend(state, completed), AlignCursor(), completed
-    if continues:
+    if not terms.isdisjoint(token_map.continued.get(buffer, ())):
         return state, AlignCursor(buffer), None
     raise UncoverableTerminal(
         f"token {token_id} does not continue any valid terminal"

@@ -201,11 +201,8 @@ def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None
 
 def _safe_decode(token_map, tokens):
     # unconstrained output decodes only when each token spells a terminal
-    spelled = {
-        e[0]: t for t, exps in token_map.expansions.items() for e in exps if len(e) == 1
-    }
     try:
-        return "".join(spelled[t] for t in tokens if t != EOS_ID)
+        return "".join(token_map.spelled[(t,)] for t in tokens if t != EOS_ID)
     except KeyError:
         return ""
 

@@ -24,18 +24,21 @@ child completes) and its full parses (complete start items from position
 0).  That part, with every origin other than 0 written as a distance back
 from the set's own position, together with the live chart at each earlier
 origin an open item waits on, decides every later item set, mask and
-verdict.  The closure of an item set builds that part as a ``_Chart``
-node as it goes; a full parse joins it only once its annotation holds, so
-the verdict is whether the node has one.  When a state is first masked,
-its node is interned, one per Session, grammar and forest cap, in a
-weak-valued table.  The node keeps the terminal mask, and weak links to
-the nodes that follow it, so a state whose live chart was already seen
-reads its mask without trial extensions and builds its successors by
-shifting origins instead of closing a new item set.  States hold their
-nodes, nodes hold only earlier nodes and link to later ones weakly, so
-there are no reference cycles and a dropped state frees its chain at
-once.  A state that is only extended, as in ``accepts``, never pays for
-the lookup.
+verdict.  The closure of an item set builds that part as a ``_Chart`` node
+as it goes, with a back-link, by distance, to the node of each such
+origin; a full parse joins it only once its annotation holds, so the
+verdict is whether the node has one.  A closure reaches the node of any
+origin through back-links, so a state has a constant size: it keeps its
+node, the root, and a link to the node before, shared with the states
+before it.  When a state is first masked, its node is interned, one per
+Session, grammar and forest cap, in a weak-valued table keyed on its items
+and back-links.  The node keeps the terminal mask, and weak links to the
+nodes that follow it, so a state whose live chart was already seen reads
+its mask without trial extensions and builds its successors by shifting
+origins instead of closing a new item set.  States hold their nodes, nodes
+hold only earlier nodes and link to later ones weakly, so there are no
+reference cycles and a dropped state frees its chain at once.  A state
+that is only extended, as in ``accepts``, never pays for the lookup.
 """
 
 from __future__ import annotations
@@ -129,16 +132,8 @@ class _Parser:
     including the table of its live-chart nodes."""
 
     __slots__ = (
-        "grammar",
-        "session",
-        "forest_cap",
-        "background_index",
-        "steps",
-        "heads",
-        "annotations",
-        "kept",
-        "charts",
-        "__weakref__",
+        "grammar", "session", "forest_cap", "background_index", "steps", "heads",
+        "annotations", "kept", "charts", "__weakref__",
     )
 
     def __init__(self, grammar, session, forest_cap):
@@ -150,7 +145,7 @@ class _Parser:
         self.heads = tuple(p.head for p in grammar.productions)
         self.annotations = tuple(p.annotation for p in grammar.productions)
         self.kept = grammar.kept
-        # (canonical live items, ((distance, node), ...)) -> _Chart
+        # (canonical live items, sorted back-links) -> _Chart
         self.charts = weakref.WeakValueDictionary()
 
     def advance(self, prod_id, dot, origin, models, model):
@@ -198,46 +193,43 @@ class _Chart:
 
     ``scans`` and ``waits`` index the open items, with canonical origins,
     by the terminal or nonterminal after their dot; ``finals`` holds the
-    full parses.  ``key`` is None while the node is private to the states
-    that built it, and once it is shared, (the live items, pairs of each
-    distance back an origin lies with the node found there).  ``succ``
-    maps a terminal to a weak reference to the next node, or to
+    full parses.  ``back`` maps the distance back to each origin of an open
+    item, other than 0 and its own position, to the node there.  ``key``
+    is None while the node is private to the states that built it, and
+    once it is shared, (the live items, the sorted pairs of ``back``).
+    ``succ`` maps a terminal to a weak reference to the next node, or to
     ``_DEAD``.
     """
 
-    __slots__ = (
-        "scans",
-        "waits",
-        "finals",
-        "key",
-        "succ",
-        "valid",
-        "__weakref__",
-    )
+    __slots__ = ("scans", "waits", "finals", "back", "key", "succ", "valid", "__weakref__")
 
-    def __init__(self, scans, waits, finals):
-        self.scans = scans
-        self.waits = waits
-        self.finals = finals
+    def __init__(self):
+        self.scans = {}
+        self.waits = {}
+        self.finals = []
+        self.back = {}
         self.key = None
         self.succ = {}
         self.valid = None
 
 
 class ParseState:
-    """Immutable snapshot of the recognizer after a terminal prefix.
+    """Immutable snapshot of the recognizer after ``index`` terminals.
 
-    ``_chart`` is the live-chart node of the prefix, private until the
-    state is first masked, and ``_path`` holds the nodes of the earlier
-    positions.
+    ``_chart`` is the prefix's live-chart node, private until the state is
+    first masked; ``_root`` is that of position 0.  ``_prev`` is (the node
+    before, the last terminal, the state before's ``_prev``), or None: a
+    list shared along the path, which keeps the path's nodes alive so that
+    a live chart met again further on is found interned.
     """
 
-    __slots__ = ("parser", "prefix", "_path", "_chart", "_succ", "__weakref__")
+    __slots__ = ("parser", "index", "_root", "_prev", "_chart", "_succ", "__weakref__")
 
-    def __init__(self, parser, prefix, path, chart):
+    def __init__(self, parser, index, root, prev, chart):
         self.parser = parser
-        self.prefix = prefix
-        self._path = path
+        self.index = index
+        self._root = root
+        self._prev = prev
         self._chart = chart
         self._succ = {}
 
@@ -250,26 +242,30 @@ def init(grammar, session=None, forest_cap=DEFAULT_FOREST_CAP):
         seed = parser.predict(p.prod_id, 0)
         if seed is not None:
             seeds.append(seed)
-    chart, _ = _close_set(parser, (), 0, seeds)
-    return ParseState(parser, (), (), chart)
+    chart, _ = _close_set(parser, None, {}, 0, seeds)
+    return ParseState(parser, 0, chart, None, chart)
 
 
-def _close_set(parser, path, index, seeds):
+def _close_set(parser, root, at, index, seeds):
     """Run prediction and completion to fixpoint over item set ``index``,
     and return (its live chart, whether it is alive).
 
     ``seeds`` holds (item, export) pairs, the export being the model of a
-    complete item and None for an open one; ``path[o]`` is the node of
-    each earlier position o.  An item joins the set only once its
-    annotation holds, so the set only grows and the forest cap fires
-    exactly when the closure exceeds it, in whatever order it is built.
-    The set is alive if some derivation past its first symbol is still
-    open, or a full parse of the whole prefix exists; completed non-start
-    items whose every parent combination failed do not keep it alive.
+    complete item and None for an open one.  ``at`` maps positions to
+    their nodes: it gains this set's node, and the origin of each item a
+    completion advances, read from the back-links of the node it waits in.
+    ``root``, the node of position 0, is in ``at`` only while its own set
+    closes.  An item joins the set only once its annotation holds, so the
+    set only grows and the forest cap fires exactly when the closure
+    exceeds it, in whatever order it is built.  The set is alive if some
+    derivation past its first symbol is still open, or a full parse of the
+    whole prefix exists; completed non-start items whose every parent
+    combination failed do not keep it alive.
     """
     steps, heads, cap = parser.steps, parser.heads, parser.forest_cap
     by_head, start = parser.grammar.by_head, parser.grammar.start
-    scans, waits, finals = {}, {}, []
+    chart = at[index] = _Chart()
+    scans, waits, finals, back = chart.scans, chart.waits, chart.finals, chart.back
     alive = False
     items = set()
     work = []
@@ -295,7 +291,10 @@ def _close_set(parser, path, index, seeds):
         if dot < len(step):
             alive = alive or dot > 0
             terminal, name = step[dot]
-            live = (prod_id, dot, index - origin if origin else -1, models)
+            c = index - origin if origin else -1
+            if c > 0:
+                back[c] = at[origin]
+            live = (prod_id, dot, c, models)
             (scans if terminal else waits).setdefault(name, []).append(live)
             if terminal:
                 continue
@@ -321,14 +320,14 @@ def _close_set(parser, path, index, seeds):
         if export in seen:
             continue
         seen.add(export)
-        parents = waits if origin == index else path[origin].waits
-        for p, d, c, m in parents.get(head, ()):
-            new, new_export = parser.advance(
-                p, d, 0 if c < 0 else origin - c, m, export
-            )
+        node = at.get(origin, root)
+        for p, d, c, m in node.waits.get(head, ()):
+            if c > 0:
+                at[origin - c] = node.back[c]
+            new, new_export = parser.advance(p, d, 0 if c < 0 else origin - c, m, export)
             if new is not None:
                 add(new, new_export)
-    return _Chart(scans, waits, finals), alive
+    return chart, alive
 
 
 def _shared_chart(state):
@@ -338,50 +337,45 @@ def _shared_chart(state):
     if chart.key is not None:
         return chart
     items = frozenset(chain(chart.finals, *chart.scans.values(), *chart.waits.values()))
-    index = len(state.prefix)
-    path = state._path
-    back = sorted({c for _, _, c, _ in items if c > 0})
-    key = (items, tuple([(c, path[index - c]) for c in back]))
+    key = (items, tuple(sorted(chart.back.items())))
     shared = state.parser.charts.get(key)
     if shared is None:
         chart.key = key
         shared = state.parser.charts[key] = chart
     state._chart = shared
-    if index:
-        path[-1].succ[state.prefix[-1]] = weakref.ref(shared)
+    if state._prev is not None:
+        prev, terminal, _ = state._prev
+        prev.succ[terminal] = weakref.ref(shared)
     return shared
 
 
 def extend(state, terminal):
     """New state for prefix + terminal; raises InvalidExtension on failure."""
+    index = state.index
     cached = state._succ.get(terminal)
     if cached is not None:
         if cached is _DEAD:
-            raise InvalidExtension(terminal, len(state.prefix))
+            raise InvalidExtension(terminal, index)
         return cached
     chart = state._chart
     link = chart.succ.get(terminal)
     if link is _DEAD:
         state._succ[terminal] = _DEAD
-        raise InvalidExtension(terminal, len(state.prefix))
+        raise InvalidExtension(terminal, index)
     parser = state.parser
-    path = state._path + (chart,)
-    prefix = state.prefix + (terminal,)
     node = link() if link is not None else None
     if node is None:
-        index = len(state.prefix)
-        seeds = []
+        seeds, at = [], {index - c: n for c, n in chart.back.items()}
+        at[index] = chart
         for p, d, c, m in chart.scans.get(terminal, ()):
-            new, export = parser.advance(
-                p, d, 0 if c < 0 else index - c, m, EMPTY_MODEL
-            )
+            new, export = parser.advance(p, d, 0 if c < 0 else index - c, m, EMPTY_MODEL)
             if new is not None:
                 seeds.append((new, export))
-        node, alive = _close_set(parser, path, index + 1, seeds)
+        node, alive = _close_set(parser, state._root, at, index + 1, seeds)
         if not alive:
             chart.succ[terminal] = state._succ[terminal] = _DEAD
-            raise InvalidExtension(terminal, len(state.prefix))
-    new_state = ParseState(parser, prefix, path, node)
+            raise InvalidExtension(terminal, index)
+    new_state = ParseState(parser, index + 1, state._root, (chart, terminal, state._prev), node)
     state._succ[terminal] = new_state
     return new_state
 

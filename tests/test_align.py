@@ -156,8 +156,11 @@ def test_token_walk_matches_terminal_walk():
     direct = init(GRAMMAR)
     for t in word:
         direct = extend(direct, t)
-    state, cur = init(GRAMMAR), AlignCursor()
+    state, cur, emitted = init(GRAMMAR), AlignCursor(), []
     for tid in tau(m, word):
-        state, cur, _ = apply_token(state, m, cur, tid)
-    assert state.prefix == direct.prefix
+        state, cur, term = apply_token(state, m, cur, tid)
+        if term is not None:
+            emitted.append(term)
+    assert tuple(emitted) == word
+    assert state.index == direct.index
     assert valid_terminals(state) == valid_terminals(direct)

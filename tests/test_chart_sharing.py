@@ -8,6 +8,7 @@ and verdicts by trial extension.  The second replaces a parser's table of
 the predicates each production exports with one that keeps them all."""
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -109,7 +110,7 @@ def _outcome(fn, *args):
 def _live_items(state):
     """The state's live items with absolute origins."""
     chart = state._chart
-    index = len(state.prefix)
+    index = state.index
     canon = [*chart.finals]
     for group in (chart.scans, chart.waits):
         for items in group.values():
@@ -160,9 +161,9 @@ def test_shared_charts_match_a_parser_that_shares_nothing(source, order, cap):
         for mine, ref in frontier:
             for t in order:
                 got, want = _outcome(extend, mine, t), _outcome(extend, ref, t)
-                assert got[0] == want[0], (mine.prefix, t)
+                assert got[0] == want[0], (mine.index, t)
                 if got[0] == "ok":
-                    assert _observe(got[1]) == _observe(want[1]), (mine.prefix, t)
+                    assert _observe(got[1]) == _observe(want[1]), (mine.index, t)
                     reached.append((got[1], want[1]))
         frontier = reached
 
@@ -198,8 +199,8 @@ def test_projected_exports_keep_every_mask_and_verdict(source, cap):
             mask = _outcome(valid_terminals, ref)
             if mask[0] != "ok":
                 continue
-            assert _outcome(valid_terminals, mine) == mask, mine.prefix
-            assert is_complete(mine) == is_complete(ref), mine.prefix
+            assert _outcome(valid_terminals, mine) == mask, mine.index
+            assert is_complete(mine) == is_complete(ref), mine.index
             if depth < MAX_PREFIX:
                 for t in sorted(mask[1] - {END_MARKER}):
                     reached.append((extend(mine, t), extend(ref, t)))
@@ -285,3 +286,27 @@ def test_a_finished_generation_frees_its_states_and_nodes(monkeypatch, no_cyclic
     result = generate(g, token_map, UniformPolicy(token_map.vocab_size), (), cfg)
     assert result.tokens_generated > 0 and made
     assert [r() for r in made if r() is not None] == []
+
+
+# ---------------------------------------------------------------------------
+# constant-size states: a state holds a fixed number of nodes, however long
+# its prefix, so a chain of states kept alive grows linearly
+
+
+def _traced_walk(grammar, length):
+    """Memory traced while a kept root state is extended ``length`` times."""
+    tracemalloc.start()
+    try:
+        root = state = init(grammar)
+        for _ in range(length):
+            state = extend(state, "a")
+        assert root._succ  # the root keeps the whole chain alive
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_kept_chain_of_states_grows_linearly():
+    g = parse_grammar('s -> s "a" { } | "a" { }\n')
+    short, long = _traced_walk(g, 500), _traced_walk(g, 2000)
+    assert long < 6 * short, (short, long)
