@@ -34,7 +34,6 @@ from .grammar import (
 )
 from .mcts import Reward, SearchConfig, SearchTree, search
 from .policy import (
-    CountingPolicy,
     Distribution,
     NgramPolicy,
     PolicyContext,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignCursor",
     "AsgError",
-    "CountingPolicy",
     "DecodeConfig",
     "DecodeResult",
     "Distribution",

@@ -10,21 +10,11 @@ decoding.  Token id 0 is reserved for EOS throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 from .earley import END_MARKER, extend, valid_terminals
 from .errors import UncoverableTerminal
 
 EOS_ID = 0
-
-
-class Tokenizer(Protocol):
-    vocab_size: int
-
-    def encode(self, text: str) -> list: ...
-
-    def decode(self, ids) -> str: ...
-
 
 # ---------------------------------------------------------------------------
 
@@ -37,7 +27,9 @@ class TokenMap:
     a spelling the model could produce; ``canonical`` is the tokenizer's own
     encoding, used when the engine itself emits a terminal.  ``spelled``
     and ``continued`` index the expansions for ``apply_token``: an
-    expansion spells one text, so it names one terminal.
+    expansion spells one text, so it names one terminal.  ``texts`` is the
+    tokenizer's decoding of each id (EOS decodes to ""), which spells a
+    word whether or not its tokens align with terminals.
     """
 
     expansions: dict  # terminal -> tuple of token-id tuples
@@ -45,15 +37,16 @@ class TokenMap:
     vocab_size: int
     spelled: dict  # expansion -> its terminal
     continued: dict  # proper prefix of an expansion -> set of terminals
+    texts: tuple  # token id -> its text
 
     def terminals(self):
         return self.expansions.keys()
 
 
 def build_map(terminals, tokenizer):
+    texts = ("",) + tuple(tokenizer.decode([t]) for t in range(1, tokenizer.vocab_size))
     pieces = {}
-    for tid in range(1, tokenizer.vocab_size):
-        text = tokenizer.decode([tid])
+    for tid, text in enumerate(texts):
         if text:
             pieces.setdefault(text, []).append(tid)
     expansions = {}
@@ -79,6 +72,7 @@ def build_map(terminals, tokenizer):
         vocab_size=tokenizer.vocab_size,
         spelled=spelled,
         continued=continued,
+        texts=texts,
     )
 
 

@@ -193,15 +193,8 @@ def run_instance(cfg, index, inst, references):
                     return -float(cfg["max_tokens"])
                 return Reward(rho).of(r.terminals, r.outcome == "completed")
 
-            def accept_fn(r):
-                if cfg["constraint"] == "none":
-                    return True
-                return r.terminals is not None and earley.accepts(
-                    g_run, tuple(r.terminals)
-                )
-
             result, _ = decoding.best_of_n(
-                g_run, token_map, policy, (), dcfg, reward_fn, accept_fn
+                g_run, token_map, policy, (), dcfg, reward_fn
             )
         else:
             tree = SearchTree(g_run, token_map, ())

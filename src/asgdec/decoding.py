@@ -3,7 +3,7 @@
 The decoder restricts the policy's distribution to the currently valid
 token set and renormalizes; greedy mode takes the argmax (ties to the
 lowest token id), sample mode draws with temperature / top-k / top-p
-applied after masking, and best_of_n ranks constraint-surviving samples by
+applied after masking, and best_of_n ranks the completed samples by
 reward.
 
 The masked distribution is a handful of ids, so it is computed over plain
@@ -30,7 +30,7 @@ from .align import EOS_ID, AlignCursor
 from .policy import PolicyContext
 
 CONSTRAINT_LEVELS = ("none", "cfg", "csg", "sem")
-MODES = ("greedy", "sample", "best_of_n")
+MODES = ("greedy", "sample")
 
 COMPLETED = "completed"
 DEAD_END = "dead_end"
@@ -157,29 +157,30 @@ def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None
 
     ``grammar`` must already be the projection matching cfg.constraint
     (callers use strip_annotations / csg_projection); constraint level
-    ``none`` ignores the grammar entirely.  ``constraint_seconds`` is this
+    ``none`` ignores the grammar entirely, and its ``text`` is the
+    tokenizer's decoding of the ids, with ``terminals`` None where that
+    text does not segment into terminals.  ``constraint_seconds`` is this
     run's time in the parser and the token mask.
     """
     rng = rng or np.random.default_rng(cfg.seed)
-    ctx = PolicyContext(prompt=tuple(prompt_ids))
+    prompt = tuple(prompt_ids)
     outcome = MAX_LENGTH
 
     if cfg.constraint == "none":
-        tokens = []
+        ctx = PolicyContext(prompt)
         for _ in range(cfg.max_tokens):
             dist = policy.next_distribution(ctx)
-            valid = range(policy.vocab_size)
-            tok = choose_token(dist, valid, cfg, rng)
-            tokens.append(tok)
+            tok = choose_token(dist, range(policy.vocab_size), cfg, rng)
             ctx = ctx.append(tok)
             if tok == EOS_ID:
                 outcome = COMPLETED
                 break
-        text = _safe_decode(token_map, tokens)
+        tokens = ctx.generated
+        text = "".join([token_map.texts[t] for t in tokens])
         terminals, bad = align.segment(token_map.terminals(), text)
         if bad is not None:
             terminals = None
-        return DecodeResult(tuple(tokens), text, terminals, outcome, len(tokens))
+        return DecodeResult(tokens, text, terminals, outcome, len(tokens))
 
     session = session or earley.Session()
     spent = session.constraint_seconds
@@ -189,31 +190,23 @@ def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None
         if not valid:
             outcome = DEAD_END
             break
-        dist = policy.next_distribution(ctx)
+        dist = policy.next_distribution(PolicyContext(prompt, prefix.ids))
         tok = choose_token(dist, valid, cfg, rng)
         prefix = prefix.push(tok)
-        ctx = ctx.append(tok)
         if tok == EOS_ID:
             outcome = COMPLETED
             break
     return prefix.result(outcome, constraint_seconds=session.constraint_seconds - spent)
 
 
-def _safe_decode(token_map, tokens):
-    # unconstrained output decodes only when each token spells a terminal
-    try:
-        return "".join(token_map.spelled[(t,)] for t in tokens if t != EOS_ID)
-    except KeyError:
-        return ""
+def best_of_n(grammar, token_map, policy, prompt_ids, cfg, reward_fn):
+    """Sample cfg.n generations and return the reward-best completed one
+    (first index wins ties), carrying the constraint time of all n samples.
 
-
-def best_of_n(grammar, token_map, policy, prompt_ids, cfg, reward_fn, accept_fn):
-    """Sample cfg.n generations, reject constraint violators, return the
-    reward-best survivor (first index wins ties), carrying the constraint
-    time of all n samples.
-
-    ``accept_fn(result) -> bool`` applies the active constraint; with all
-    samples rejected the best-effort result is returned flagged.
+    The completed samples are the survivors: EOS is admitted only where
+    the parse is complete, so each is in the language at cfg.constraint
+    (level ``none`` rejects nothing).  With none completed the best-effort
+    result is returned flagged.
     """
     sample_cfg = replace(cfg, mode="sample")
     results = []
@@ -222,7 +215,7 @@ def best_of_n(grammar, token_map, policy, prompt_ids, cfg, reward_fn, accept_fn)
         r = generate(grammar, token_map, policy, prompt_ids, sample_cfg, rng=rng)
         r = replace(r, reward=reward_fn(r), sample_index=i)
         results.append(r)
-    survivors = [r for r in results if r.outcome == COMPLETED and accept_fn(r)]
+    survivors = [r for r in results if r.outcome == COMPLETED]
     pool = survivors or results
     best = max(pool, key=lambda r: (r.reward, -r.sample_index))
     best = replace(

@@ -374,7 +374,6 @@ class LogicFragment:
     name: str = "frag"
     # computed in __post_init__
     local_preds: frozenset = field(default_factory=frozenset)
-    strata: dict = field(default_factory=dict)
     rule_defer_deps: dict = field(default_factory=dict)
     max_child: int = 0
     child_reads: tuple = ()  # the positions k of the @k literals, ascending
@@ -391,7 +390,7 @@ class LogicFragment:
         self.max_child = max(self.child_reads, default=0)
         self.constrained = any(r.head is None for r in self.rules)
         self._validate_safety()
-        self._components, self.strata = self._stratify()
+        self._components = self._stratify()
         # pred -> child positions it depends on, transitively
         child_deps, by_head = {}, {}
         for r in self.rules:
@@ -456,9 +455,8 @@ class LogicFragment:
 
     def _stratify(self):
         """The local predicates' strongly connected components, each after
-        the components it reads, and each local predicate's stratum: the
-        most negative edges on a dependency path below it.  A cycle through
-        a negative edge raises StratificationError."""
+        the components it reads.  A cycle through a negative edge raises
+        StratificationError."""
         edges, succ, reach = self.dependency_edges(), {}, {}
         for hp, q, _ in edges:
             succ.setdefault(hp, set()).add(q)
@@ -480,12 +478,7 @@ class LogicFragment:
                 cycles,
             )
         # a component reaches strictly more than every component it reads
-        components = sorted(set(comp.values()), key=lambda c: (len(reach[min(c)] | c), sorted(c)))
-        strata = {}
-        for c in components:
-            s = max((strata[q] + neg for hp, q, neg in edges if hp in c and q in strata), default=0)
-            strata.update(dict.fromkeys(c, s))
-        return components, strata
+        return sorted(set(comp.values()), key=lambda c: (len(reach[min(c)] | c), sorted(c)))
 
     def _runnable(self, child_models):
         """(compiled evaluation, deferred rule ids) for ``child_models``, as

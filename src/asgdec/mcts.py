@@ -62,14 +62,15 @@ class SearchStats:
 
 
 class SearchNode:
+    """A decision point, expanded once ``priors`` is set.  A leaf (EOS, a
+    dead end or the depth cap) is exhausted with its word in ``rollout``."""
+
     __slots__ = (
         "prefix",
         "priors",
         "visits",
         "values",
         "children",
-        "expanded",
-        "terminal_reward",
         "rollout",
         "exhausted",
         "exact_value",
@@ -77,12 +78,10 @@ class SearchNode:
 
     def __init__(self, prefix):
         self.prefix = prefix  # the decoding.Prefix this node stands at
-        self.priors = None  # token id -> prior prob
+        self.priors = None  # token id -> prior prob; None until expanded
         self.visits = {}
         self.values = {}
         self.children = {}
-        self.expanded = False
-        self.terminal_reward = None  # set for EOS / dead-end nodes
         self.rollout = None  # cached (reward, DecodeResult)
         self.exhausted = False  # subtree fully evaluated; skip in selection
         self.exact_value = None  # best reward in an exhausted subtree
@@ -171,10 +170,10 @@ def _simulate(tree, policy, reward, cfg, stats, rng):
     node = tree.root
     path = []
     while True:
-        if node.terminal_reward is not None:
-            backpropagate(path, node.terminal_reward)
-            return node.rollout  # a leaf's rollout is its own word
-        if not node.expanded:
+        if node.exhausted:  # a leaf: selection skips other exhausted nodes
+            backpropagate(path, node.exact_value)
+            return node.rollout
+        if node.priors is None:
             _expand(tree, node, policy, stats)
             value, result = _rollout(tree, node, policy, reward, cfg, stats, rng)
             backpropagate(path, value)
@@ -201,7 +200,6 @@ def _expand(tree, node, policy, stats):
     valid = node.prefix.mask()  # which leaves the state's terminal set cached
     branching = len(earley.valid_terminals(node.prefix.state))
     stats.max_branching = max(stats.max_branching, branching)
-    node.expanded = True
     if not valid:
         node.priors = {}  # a dead end; _rollout scores it by the distance
         return
@@ -232,9 +230,9 @@ def _leaf(node, reward, outcome):
     """Close ``node`` as a leaf whose word ends there (at EOS, a dead end
     or the depth cap), so that its value is exact."""
     value = reward.of(node.prefix.terminals, outcome == COMPLETED)
-    node.terminal_reward = node.exact_value = value
+    node.exact_value = value
     node.rollout = (value, node.prefix.result(outcome))
-    node.expanded = node.exhausted = True
+    node.exhausted = True
     node.priors = {}
     return node
 

@@ -169,16 +169,3 @@ class RemotePolicy:
                     time.sleep(0.1 * (attempt + 1))
         raise RemoteError(f"logit server unreachable at {url}: {last}")
 
-
-class CountingPolicy:
-    """Wrapper that counts next_distribution calls, for the test suite's
-    asserts; a search counts its own in ``SearchStats.policy_calls``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-        self.vocab_size = inner.vocab_size
-
-    def next_distribution(self, ctx):
-        self.calls += 1
-        return self.inner.next_distribution(ctx)

@@ -106,6 +106,20 @@ def copy_next(w):
     return out
 
 
+class CountingPolicy:
+    """Wrapper that counts next_distribution calls, for the tests'
+    asserts; a search counts its own in ``SearchStats.policy_calls``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.vocab_size = inner.vocab_size
+
+    def next_distribution(self, ctx):
+        self.calls += 1
+        return self.inner.next_distribution(ctx)
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 

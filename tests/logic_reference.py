@@ -7,6 +7,7 @@ and joined by scanning every fact of each positive literal's predicate,
 until a whole pass derives nothing new.  A sum or ordering comparison over
 a non-integer, and a sum outside 64 bits, evaluate to None (undefined),
 and a binding that meets None anywhere in its body or head is dropped.
+``strata`` computes the strata it evaluates in from the dependency edges.
 ``enumerate_models_bruteforce`` lists the answer sets of a ground program
 by trying every interpretation.  Both are slow and simple on purpose; the
 tests compare the compiled evaluator against them.
@@ -212,6 +213,23 @@ def _reorder_body(body):
     return tuple(order + builtins + negs)
 
 
+def strata(fragment):
+    """Each local predicate's stratum: the most negative edges on a
+    dependency path below it, relaxed edge by edge until nothing rises.
+    Terminates on a stratified fragment, which has no negative cycle."""
+    edges = [(hp, q, neg) for hp, q, neg in fragment.dependency_edges()
+             if hp in fragment.local_preds and q in fragment.local_preds]
+    out = dict.fromkeys(fragment.local_preds, 0)
+    changed = True
+    while changed:
+        changed = False
+        for hp, q, neg in edges:
+            if out[q] + neg > out[hp]:
+                out[hp] = out[q] + neg
+                changed = True
+    return out
+
+
 def evaluate_node_reference(fragment, child_models, background, atom_cap=DEFAULT_ATOM_CAP):
     """Same contract as ``asgdec.logic.evaluate_node``: positions past the
     end of ``child_models`` are unrealised."""
@@ -228,14 +246,15 @@ def evaluate_node_reference(fragment, child_models, background, atom_cap=DEFAULT
         else:
             active.append(r)
     store = _Store(background)
-    max_stratum = max(fragment.strata.values(), default=0)
+    stratum = strata(fragment)
+    max_stratum = max(stratum.values(), default=0)
     by_stratum = {s: [] for s in range(max_stratum + 1)}
     constraints = []
     for r in active:
         if r.head is None:
             constraints.append(r)
         else:
-            by_stratum[fragment.strata[r.head.pred]].append(r)
+            by_stratum[stratum[r.head.pred]].append(r)
     for s in range(max_stratum + 1):
         changed = True
         while changed:

@@ -1,4 +1,4 @@
-"""Minimal full-logit HTTP server for tests and local experiments.
+"""Minimal full-logit HTTP server for the remote-policy tests.
 
 Wraps any in-process policy behind the POST /v1/logits protocol so the
 remote client can be exercised without an actual model server.
@@ -10,7 +10,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .policy import PolicyContext
+from asgdec.policy import PolicyContext
 
 
 class LogitServer:

@@ -18,7 +18,6 @@ import pytest
 import asgdec.mcts as mcts_mod
 from asgdec import (
     EOS_ID,
-    CountingPolicy,
     DecodeConfig,
     NgramPolicy,
     Reward,
@@ -58,6 +57,7 @@ from asgdec.tasks import (
 from asgdec.tasks import jsontask, sgs
 
 from conftest import (
+    CountingPolicy,
     ambncmdn_member,
     ambncmdn_next,
     anbncn_member,
@@ -536,5 +536,4 @@ def test_11_selection_matches_frozen_scores():
         node.priors = dict(priors)
         node.visits = dict(visits)
         node.values = dict(values)
-        node.expanded = True
         assert select_child(node, beta) == expected_pick

@@ -156,9 +156,9 @@ def test_best_of_n_sums_constraint_time_over_samples():
 
     g = parse_grammar(ANBNCN_GRAMMAR)
     tmap = build_map(g.terminals, TerminalTokenizer(g.terminals))
-    cfg = DecodeConfig(mode="best_of_n", n=3, max_tokens=12)
+    cfg = DecodeConfig(mode="sample", n=3, max_tokens=12)
     best, results = best_of_n(
-        g, tmap, UniformPolicy(tmap.vocab_size), (), cfg, lambda r: 0.0, lambda r: True
+        g, tmap, UniformPolicy(tmap.vocab_size), (), cfg, lambda r: 0.0
     )
     assert best.constraint_seconds == sum(r.constraint_seconds for r in results) > 0
 

@@ -1,5 +1,7 @@
 """Masked decoding: argmax, sampling filters, full runs, best-of-n."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 from asgdec import (
     DecodeConfig,
     NgramPolicy,
+    SubwordTokenizer,
     TerminalTokenizer,
     UniformPolicy,
     accepts,
     build_map,
     generate,
     best_of_n,
+    strip_annotations,
 )
 from asgdec.decoding import (
     COMPLETED,
@@ -24,6 +28,7 @@ from asgdec.decoding import (
     masked_logprobs,
 )
 from asgdec.policy import Distribution
+from asgdec.tasks import generate_instances
 
 from conftest import anbncn_member
 
@@ -164,6 +169,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DecodeConfig(mode="beam")
     with pytest.raises(ValueError):
+        DecodeConfig(mode="best_of_n")  # best_of_n is a function, not a mode
+    with pytest.raises(ValueError):
         DecodeConfig(constraint="soft")
     with pytest.raises(ValueError):
         DecodeConfig(n=0)
@@ -225,6 +232,28 @@ def test_unconstrained_can_leave_language(setup):
     assert bad > 0
 
 
+def test_unconstrained_subword_text_is_the_tokenizers_decoding(anbncn_grammar):
+    # pieces that span terminals ("ab", "bca") or spell none ("x"): the
+    # text is the decoded ids, and terminals is None exactly when the
+    # text is not a word over the terminals
+    g = anbncn_grammar
+    tok = SubwordTokenizer(["a", "b", "c", "ab", "bca", "x"])
+    tmap = build_map(g.terminals, tok)
+    policy = UniformPolicy(tmap.vocab_size)
+    segmented = unsegmented = 0
+    for seed in range(20):
+        cfg = DecodeConfig(mode="sample", constraint="none", seed=seed, max_tokens=8)
+        r = generate(g, tmap, policy, (), cfg)
+        assert r.text == tok.decode(r.token_ids)
+        if re.fullmatch("[abc]*", r.text):
+            assert r.terminals == tuple(r.text)
+            segmented += 1
+        else:
+            assert r.terminals is None
+            unsegmented += 1
+    assert segmented and unsegmented
+
+
 def test_dead_end_reported():
     from asgdec import parse_grammar
 
@@ -242,26 +271,26 @@ def test_constraint_time_is_tracked(setup):
     assert r.constraint_seconds > 0
 
 
-def test_best_of_n_picks_highest_reward_survivor(setup):
-    g, tok, tmap = setup
-    policy = UniformPolicy(tmap.vocab_size)
-    cfg = DecodeConfig(mode="best_of_n", constraint="sem", n=8, seed=5, max_tokens=30)
-
-    def reward(r):
-        return len(r.terminals or ())
-
+@pytest.mark.parametrize("level", ["cfg", "sem"])
+@pytest.mark.parametrize("task", ["anbncn", "sudoku3"])
+def test_best_of_n_picks_highest_reward_survivor(anbncn_grammar, task, level):
+    g = anbncn_grammar
+    if task != "anbncn":
+        g = generate_instances(task, 1, seed=0)[0].grammar()
+    if level == "cfg":
+        g = strip_annotations(g)
+    tmap = build_map(g.terminals, TerminalTokenizer(g.terminals))
+    cfg = DecodeConfig(mode="sample", constraint=level, n=8, seed=5, max_tokens=32)
     best, results = best_of_n(
-        g, tmap, policy, (), cfg, reward, lambda r: accepts(g, r.terminals)
+        g, tmap, UniformPolicy(tmap.vocab_size), (), cfg, lambda r: len(r.terminals)
     )
     assert len(results) == 8
-    survivors = [
-        r for r in results if r.outcome == COMPLETED and accepts(g, r.terminals)
-    ]
-    if survivors:
-        assert not best.flagged
-        assert best.reward == max(r.reward for r in survivors)
-    else:
-        assert best.flagged
+    survivors = [r for r in results if r.outcome == COMPLETED]
+    # EOS is admitted only where the parse is complete, so every completed
+    # sample is in the language without a re-parse
+    assert survivors and all(accepts(g, r.terminals) for r in survivors)
+    assert not best.flagged and best.outcome == COMPLETED
+    assert best.reward == max(r.reward for r in survivors)
 
 
 def test_best_of_n_flags_when_nothing_survives():
@@ -270,9 +299,8 @@ def test_best_of_n_flags_when_nothing_survives():
     g = parse_grammar('s -> "a" { p. :- p. }')
     tok = TerminalTokenizer(g.terminals)
     tmap = build_map(g.terminals, tok)
-    cfg = DecodeConfig(mode="best_of_n", constraint="sem", n=3, max_tokens=5)
+    cfg = DecodeConfig(mode="sample", constraint="sem", n=3, max_tokens=5)
     best, results = best_of_n(
-        g, tmap, UniformPolicy(tmap.vocab_size), (), cfg,
-        lambda r: 0.0, lambda r: False,
+        g, tmap, UniformPolicy(tmap.vocab_size), (), cfg, lambda r: 0.0
     )
     assert best.flagged and len(results) == 3

@@ -22,7 +22,12 @@ from asgdec.logic import (
     parse_rules,
 )
 
-from logic_reference import OracleNotGround, OracleTooLarge, enumerate_models_bruteforce
+from logic_reference import (
+    OracleNotGround,
+    OracleTooLarge,
+    enumerate_models_bruteforce,
+    strata,
+)
 
 
 def frag(text, name="t"):
@@ -120,7 +125,7 @@ def test_positive_recursion_allowed():
 
 def test_layered_negation_allowed():
     f = frag("q :- not p. r :- not q.")
-    assert f.strata["q"] < f.strata["r"]
+    assert strata(f)["q"] < strata(f)["r"]
 
 
 def test_stratification_error_names_the_cycle():

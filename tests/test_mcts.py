@@ -9,7 +9,6 @@ import asgdec.mcts as mcts_mod
 from asgdec import align
 from asgdec import (
     EOS_ID,
-    CountingPolicy,
     Reward,
     SearchConfig,
     SearchTree,
@@ -25,7 +24,7 @@ from asgdec import (
 from asgdec.decoding import COMPLETED
 from asgdec.mcts import SearchNode, backpropagate, select_child
 
-from conftest import anbncn_member, copy_member
+from conftest import CountingPolicy, anbncn_member, copy_member
 
 
 def make_node(priors, visits=None, values=None):
@@ -33,7 +32,6 @@ def make_node(priors, visits=None, values=None):
     node.priors = dict(priors)
     node.visits = dict(visits or {})
     node.values = dict(values or {})
-    node.expanded = True
     return node
 
 

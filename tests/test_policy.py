@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from asgdec import (
-    CountingPolicy,
     Distribution,
     NgramPolicy,
     PolicyContext,
@@ -14,7 +13,9 @@ from asgdec import (
     UniformPolicy,
 )
 from asgdec.errors import ContextTooLong, RemoteError
-from asgdec.stubserver import LogitServer
+
+from conftest import CountingPolicy
+from stubserver import LogitServer
 
 
 def test_context_append_is_persistent():
