@@ -12,14 +12,19 @@ empty outside ``mcts_search``), so a refactor of the search must show the
 same work, not only the same tokens.  The ``grammars`` check parses every
 task's instances at the seed, plus the packaged ``.asg`` files, and
 compares the printed grammar, the start symbol, the terminals, and every
-production id, fragment name and rule id.  Prints one line per check and
-seed, and exits 1 on any difference.
+production id, fragment name and rule id.  The ``records`` check runs
+``cli.run_batch`` on every task x algo x level that ``asgdec run``
+accepts (bon and mcts only where the task has a distance; count 2, budget
+8, uniform policy, one worker) and compares the records, less their
+``t_constraint_ms``.  Prints one line per check and seed, and exits 1 on
+any difference.
 
 Usage:
     python scripts/same_outputs.py --other ../parent/src --seeds 5 7 11
     python scripts/same_outputs.py --other ../parent/src --workloads mcts_search
     python scripts/same_outputs.py --other ../parent/src --workloads grammars \
         --seeds 0 1 2 3 4 5 6 7 8 9
+    python scripts/same_outputs.py --other ../parent/src --workloads records
 """
 
 import argparse
@@ -30,8 +35,11 @@ import sys
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("sample_sem", "json_subword", "mcts_search", "verify_words", "grammars")
+WORKLOADS = (
+    "sample_sem", "json_subword", "mcts_search", "verify_words", "grammars", "records",
+)
 GRAMMAR_INSTANCES = 6  # per task and seed
+LEVELS = ("none", "cfg", "csg", "sem")
 
 
 def grammar_rows(seed):
@@ -61,6 +69,27 @@ def grammar_rows(seed):
     return rows
 
 
+def record_rows(seed):
+    """One row per ``run_batch`` record, the record without its time in
+    place of the token ids."""
+    from asgdec.cli import ALGOS, run_batch
+    from asgdec.tasks import TASKS
+
+    rows = []
+    for task, spec in TASKS.items():
+        for algo in ALGOS if spec.rho else ALGOS[:1]:
+            for level in LEVELS:
+                cfg = {
+                    "task": task, "algo": algo, "constraint": level,
+                    "policy": "uniform", "budget": 8, "seed": seed, "count": 2,
+                    "max_tokens": spec.max_tokens, "endpoint": None, "model": "stub",
+                }
+                for k, record in enumerate(run_batch(cfg, workers=1)):
+                    record.pop("t_constraint_ms")
+                    rows.append([f"{task} {algo} {level} #{k}", record, "record", True, None, []])
+    return rows
+
+
 def dump(src, workload, seed):
     """Print one JSON row per operation of ``workload`` run on ``src``."""
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
@@ -68,8 +97,8 @@ def dump(src, workload, seed):
 
     if not os.path.abspath(asgdec.__file__).startswith(src + os.sep):
         raise SystemExit(f"error: asgdec imported from {asgdec.__file__}, not {src}")
-    if workload == "grammars":
-        json.dump(grammar_rows(seed), sys.stdout)
+    if workload in ("grammars", "records"):
+        json.dump((grammar_rows if workload == "grammars" else record_rows)(seed), sys.stdout)
         return
     from workloads import WORKLOADS as SETUPS
 
@@ -129,7 +158,7 @@ def main():
             differ = differ or not same
             print(
                 f"seed {seed} {workload}: {len(mine)} "
-                f"{'grammars' if workload == 'grammars' else 'operations'}, "
+                f"{workload if workload in ('grammars', 'records') else 'operations'}, "
                 f"{'same' if same else 'DIFFERENT'}; kept faults {dict(faults)}"
                 + ("" if faults == other_faults else f" vs {dict(other_faults)}")
                 + (f"; first differences: {diff[:5]}" if diff else "")

@@ -17,7 +17,7 @@ from . import align, decoding, earley, mcts, tasks
 from .align import EOS_ID, TerminalTokenizer
 from .decoding import DEAD_END, DecodeConfig, DecodeResult
 from .errors import AsgError, InvalidExtension, UncoverableTerminal
-from .grammar import csg_projection, load_grammar, parse_grammar, strip_annotations
+from .grammar import LEVELS, load_grammar, project
 from .mcts import Reward, SearchConfig, SearchTree
 from .policy import NgramPolicy, RemotePolicy, UniformPolicy
 
@@ -94,18 +94,6 @@ def cmd_complete(args):
 # run
 
 
-def _free_grammar_source(terminals):
-    """A grammar accepting every nonempty string over ``terminals`` (used
-    for the flagged unconstrained-search baseline)."""
-
-    def q(t):
-        return '"' + t.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-    alts = " | ".join(f"seq {q(t)} {{}}" for t in sorted(terminals))
-    base = " | ".join(f"{q(t)} {{}}" for t in sorted(terminals))
-    return f"start -> seq {{}}\nseq -> {alts} | {base}\n"
-
-
 def _build_policy(name, vocab_size, references, tokenizer, cfg):
     if name == "uniform":
         return UniformPolicy(vocab_size)
@@ -122,16 +110,6 @@ def _build_policy(name, vocab_size, references, tokenizer, cfg):
     if name == "remote":
         return RemotePolicy(cfg["endpoint"], cfg["model"], vocab_size)
     raise ValueError(name)
-
-
-def _projected(grammar, level, terminals):
-    if level == "cfg":
-        return strip_annotations(grammar)
-    if level == "csg":
-        return csg_projection(grammar)
-    if level == "none":
-        return parse_grammar(_free_grammar_source(terminals))
-    return grammar
 
 
 def run_batch(cfg, workers=1):
@@ -167,7 +145,6 @@ def run_instance(cfg, index, inst, references):
         "seed": seed,
         "config": cfg,
     }
-    g_run = _projected(grammar, cfg["constraint"], terminals)
     dcfg = DecodeConfig(
         mode="sample",
         constraint=cfg["constraint"],
@@ -182,7 +159,7 @@ def run_instance(cfg, index, inst, references):
         )
         if cfg["algo"] == "base":
             result = decoding.generate(
-                g_run, token_map, policy, (), dcfg, session=earley.Session()
+                grammar, token_map, policy, (), dcfg, session=earley.Session()
             )
         elif cfg["algo"] == "bon":
 
@@ -194,10 +171,10 @@ def run_instance(cfg, index, inst, references):
                 return Reward(rho).of(r.terminals, r.outcome == "completed")
 
             result, _ = decoding.best_of_n(
-                g_run, token_map, policy, (), dcfg, reward_fn
+                grammar, token_map, policy, (), dcfg, reward_fn
             )
         else:
-            tree = SearchTree(g_run, token_map, ())
+            tree = SearchTree(project(grammar, cfg["constraint"]), token_map, ())
             scfg = SearchConfig(
                 budget=cfg["budget"], max_tokens=cfg["max_tokens"], seed=seed
             )
@@ -264,19 +241,26 @@ def cmd_run(args):
 def cmd_report(args):
     groups = {}
     for path in args.results:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                r = json.loads(line)
-                key = (
-                    r["config"]["task"],
-                    r["algo"],
-                    r["constraint"],
-                    r["config"]["policy"],
-                )
-                groups.setdefault(key, []).append(r)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for n, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    r = json.loads(line)
+                    key = (
+                        r["config"]["task"],
+                        r["algo"],
+                        r["constraint"],
+                        r["config"]["policy"],
+                    )
+                    groups.setdefault(key, []).append(r)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: {path}: cannot read: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, KeyError, TypeError) as exc:
+            what = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+            print(f"error: {path}:{n}: not a result record: {what}", file=sys.stderr)
+            return 2
     for key in sorted(groups):
         task, algo, constraint, policy = key
         print(f"{task:12s} {algo:5s} {constraint:5s} {policy:8s} "
@@ -303,7 +287,7 @@ def build_parser():
     c = sub.add_parser("run", help="run an experiment batch")
     c.add_argument("--task", required=True)
     c.add_argument("--algo", choices=ALGOS, default="base")
-    c.add_argument("--constraint", choices=decoding.CONSTRAINT_LEVELS, default="sem")
+    c.add_argument("--constraint", choices=LEVELS, default="sem")
     c.add_argument("--policy", choices=POLICIES, default="uniform")
     c.add_argument("--budget", type=int, default=None)
     c.add_argument("--count", type=int, default=10)

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import align, earley
 from .align import EOS_ID, AlignCursor
+from .grammar import LEVELS, project
 from .policy import PolicyContext
 
-CONSTRAINT_LEVELS = ("none", "cfg", "csg", "sem")
 MODES = ("greedy", "sample")
 
 COMPLETED = "completed"
@@ -51,10 +51,12 @@ class DecodeConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.constraint not in CONSTRAINT_LEVELS:
+        if self.constraint not in LEVELS:
             raise ValueError(f"unknown constraint level {self.constraint!r}")
         if self.n < 1 or self.max_tokens < 1:
             raise ValueError("n and max_tokens must be >= 1")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -153,11 +155,9 @@ class Prefix:
 
 
 def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None):
-    """One full generation run.
+    """One full generation run, decoding ``project(grammar, cfg.constraint)``.
 
-    ``grammar`` must already be the projection matching cfg.constraint
-    (callers use strip_annotations / csg_projection); constraint level
-    ``none`` ignores the grammar entirely, and its ``text`` is the
+    Constraint level ``none`` masks nothing, and its ``text`` is the
     tokenizer's decoding of the ids, with ``terminals`` None where that
     text does not segment into terminals.  ``constraint_seconds`` is this
     run's time in the parser and the token mask.
@@ -184,7 +184,7 @@ def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None
 
     session = session or earley.Session()
     spent = session.constraint_seconds
-    prefix = Prefix.start(grammar, token_map, session)
+    prefix = Prefix.start(project(grammar, cfg.constraint), token_map, session)
     for _ in range(cfg.max_tokens):
         valid = prefix.mask()
         if not valid:

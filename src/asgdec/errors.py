@@ -39,10 +39,9 @@ class BackgroundUnsat(AsgError):
 class InvalidExtension(AsgError):
     """No satisfiable partial parse survives the attempted terminal."""
 
-    def __init__(self, terminal, position, violations=()):
+    def __init__(self, terminal, position):
         self.terminal = terminal
         self.position = position
-        self.violations = tuple(violations)
         super().__init__(
             f"no derivation survives terminal {terminal!r} at position {position}"
         )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
 
 from .errors import AsgReferenceError, AsgSyntaxError, BackgroundUnsat
 from .logic import (
@@ -29,6 +28,7 @@ from .logic import (
 
 TERMINAL = "terminal"
 NONTERMINAL = "nonterminal"
+LEVELS = ("none", "cfg", "csg", "sem")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +63,7 @@ class Grammar:
         for p in self.productions:
             heads.setdefault(p.head, []).append(p)
         object.__setattr__(self, "_by_head", {h: tuple(ps) for h, ps in heads.items()})
+        object.__setattr__(self, "_projections", {})  # level -> its grammar
 
     def by_head(self, name):
         return self._by_head.get(name, ())
@@ -192,6 +193,34 @@ def strip_annotations(g):
 
 def csg_projection(g):
     return replace(g, background=EMPTY_FRAGMENT)
+
+
+def project(g, level):
+    """The grammar ``g`` decodes with at ``level``: ``g`` itself at sem,
+    the background dropped at csg, every annotation dropped at cfg, and at
+    none every nonempty word over ``g.terminals``.  Each projection is
+    built once and kept on ``g``, so a shared Session keeps one parser."""
+    if level == "sem":
+        return g
+    p = g._projections.get(level)
+    if p is None:
+        if level == "cfg":
+            p = strip_annotations(g)
+        elif level == "csg":
+            p = csg_projection(g)
+        elif level == "none":  # start -> seq;  seq -> seq t | t
+            seq = Symbol(NONTERMINAL, "seq")
+            ts = [Symbol(TERMINAL, t) for t in sorted(g.terminals)]
+            bodies = [(seq,)] + [(seq, t) for t in ts] + [(t,) for t in ts]
+            prods = [
+                Production("seq" if k else "start", body, EMPTY_FRAGMENT, k)
+                for k, body in enumerate(bodies)
+            ]
+            p = _finalize(prods, "start", EMPTY_FRAGMENT)
+        else:
+            raise ValueError(f"unknown constraint level {level!r}")
+        g._projections[level] = p
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -518,10 +518,6 @@ class SatResult:
     violated: Optional[str] = None
     deferred: tuple = ()
 
-    @property
-    def ok(self):
-        return self.status != UNSAT
-
 
 class FactIndex(dict):
     """Atoms as pred -> set(args), with a hash index per (pred, arity,

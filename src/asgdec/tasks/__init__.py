@@ -7,7 +7,7 @@ functions below read them.
 from __future__ import annotations
 
 from ..earley import accepts
-from ..grammar import strip_annotations
+from ..grammar import project
 from . import blocks, jsontask, puzzles, sgs
 from .base import (
     MetricsReport,
@@ -38,7 +38,7 @@ def rho_for(instance):
 
 def checker_for(instance):
     """Boolean solved-test for one instance (see ``is_solved``)."""
-    g_cfg = strip_annotations(instance.grammar())
+    g_cfg = project(instance.grammar(), "cfg")
     rho = rho_for(instance)
     return lambda word: is_solved(
         accepts(g_cfg, tuple(word)), None if rho is None else rho(word)

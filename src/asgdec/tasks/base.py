@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 from ..decoding import COMPLETED
 from ..earley import accepts
-from ..grammar import csg_projection, parse_grammar, strip_annotations
+from ..grammar import LEVELS, parse_grammar, project
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,9 @@ def load_instance(path):
 
 def validity(grammar, word):
     """Membership of ``word`` at the three levels; no word (None) is in none."""
-    levels = (strip_annotations(grammar), csg_projection(grammar), grammar)
     return {
-        key: word is not None and accepts(g, tuple(word))
-        for key, g in zip(("v_cfg", "v_csg", "v_sem"), levels)
+        f"v_{level}": word is not None and accepts(project(grammar, level), tuple(word))
+        for level in LEVELS[1:]
     }
 
 

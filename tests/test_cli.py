@@ -110,6 +110,24 @@ def test_report_groups_by_configuration(tmp_path, capsys):
     assert "anbncn" in text and "n=2" in text
 
 
+@pytest.mark.parametrize(
+    "lines, where",
+    [
+        (None, ": cannot read:"),
+        (['{"algo": "base"', ""], ":1: not a result record"),
+        (["", '{"algo": "base", "constraint": "sem"}'], ":2: not a result record: no field 'config'"),
+    ],
+    ids=["missing file", "not json", "no config"],
+)
+def test_report_rejects_bad_input_as_a_usage_error(tmp_path, capsys, lines, where):
+    path = tmp_path / "res.jsonl"
+    if lines is not None:
+        path.write_text("\n".join(lines) + "\n")
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{where}"), err
+
+
 def test_run_records_engine_error_and_finishes_batch(tmp_path, monkeypatch):
     from asgdec import decoding
     from asgdec.errors import GroundingOverflow

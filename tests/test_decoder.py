@@ -17,6 +17,7 @@ from asgdec import (
     build_map,
     generate,
     best_of_n,
+    csg_projection,
     strip_annotations,
 )
 from asgdec.decoding import (
@@ -174,6 +175,33 @@ def test_config_validation():
         DecodeConfig(constraint="soft")
     with pytest.raises(ValueError):
         DecodeConfig(n=0)
+
+
+def test_config_rejects_nonpositive_top_k():
+    with pytest.raises(ValueError):
+        DecodeConfig(top_k=0)
+    with pytest.raises(ValueError):
+        DecodeConfig(top_k=-1)
+    assert DecodeConfig(top_k=1).top_k == 1
+
+
+@pytest.mark.parametrize("task, level", [("anbncn", "cfg"), ("blocksworld", "csg")])
+def test_full_grammar_decodes_at_the_configured_level(task, level):
+    # generate and best_of_n project the grammar they are given, so the
+    # full grammar and the level's projection give the same tokens
+    g = generate_instances(task, 1, seed=0)[0].grammar()
+    g_level = (strip_annotations if level == "cfg" else csg_projection)(g)
+    tmap = build_map(g.terminals, TerminalTokenizer(g.terminals))
+    policy = UniformPolicy(tmap.vocab_size)
+    for seed in range(4):
+        cfg = DecodeConfig(mode="sample", constraint=level, n=3, seed=seed, max_tokens=24)
+        assert (
+            generate(g, tmap, policy, (), cfg).token_ids
+            == generate(g_level, tmap, policy, (), cfg).token_ids
+        )
+        full = best_of_n(g, tmap, policy, (), cfg, lambda r: len(r.token_ids))[1]
+        projected = best_of_n(g_level, tmap, policy, (), cfg, lambda r: len(r.token_ids))[1]
+        assert [r.token_ids for r in full] == [r.token_ids for r in projected]
 
 
 # ---------------------------------------------------------------------------

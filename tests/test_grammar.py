@@ -1,10 +1,13 @@
 """Grammar file parsing, projections, and the pretty printer."""
 
+from itertools import product
+
 import pytest
 
 from asgdec.earley import accepts
 from asgdec.errors import AsgReferenceError, AsgSyntaxError, StratificationError
 from asgdec.grammar import (
+    LEVELS,
     NONTERMINAL,
     TERMINAL,
     csg_projection,
@@ -12,6 +15,7 @@ from asgdec.grammar import (
     grammars_equal,
     load_grammar,
     parse_grammar,
+    project,
     strip_annotations,
 )
 from asgdec.logic import parse_rules
@@ -105,6 +109,30 @@ def test_csg_projection_keeps_annotations_drops_background():
     g = csg_projection(parse_grammar(TOY))
     assert any(p.annotation.rules for p in g.productions)
     assert not g.background.rules
+
+
+@pytest.mark.parametrize("level", LEVELS + ("soft",))
+def test_project_builds_each_level_once(level):
+    g = parse_grammar(TOY)
+    if level not in LEVELS:
+        with pytest.raises(ValueError):
+            project(g, level)
+        return
+    p = project(g, level)
+    assert project(g, level) is p
+    assert (p is g) == (level == "sem")
+    if level in ("cfg", "csg"):
+        projection = strip_annotations if level == "cfg" else csg_projection
+        assert grammars_equal(p, projection(g))
+
+
+def test_project_none_accepts_every_nonempty_word_over_the_terminals():
+    g = parse_grammar(TOY)
+    free = project(g, "none")
+    assert free.terminals == g.terminals
+    for n in range(5):
+        for word in product(["a", "b", "x"], repeat=n):
+            assert accepts(free, word) == (n > 0 and "x" not in word), word
 
 
 @pytest.mark.parametrize(
