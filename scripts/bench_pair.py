@@ -13,7 +13,10 @@ the change.  With ``--trace-seed`` each tree also makes one traced run per
 workload at that seed.  The file
 holds every pair, and per metric the median and quartiles of each side,
 the number of pairs in which the change is better, and whether the gap
-between the medians exceeds the parent's interquartile range.
+between the medians exceeds the parent's interquartile range.  Each run
+also records ``cpu_s``, its user plus system CPU seconds, summarised in
+the same way: unlike wall-clock rates, it does not count time in which
+the host ran other work.
 
 Usage:
     python scripts/bench_pair.py --parent HEAD --topic one_function_evaluation \\
@@ -24,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -31,6 +35,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+CPU = {"name": "cpu_s", "better": "lower"}  # summarised beside the end-to-end metrics
 
 
 def git(*args):
@@ -56,15 +61,24 @@ def make_trees(rev, scratch):
 
 
 def run(tree, workload, seed, seconds, trace):
-    """The metrics of one run, with its correct/failed/attempted counts."""
+    """The metrics of one run, with its correct/failed/attempted counts,
+    its CPU seconds and, untraced, each task's tokens/s."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {tree} failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     row = {name: m["value"] for name, m in result["metrics"].items()}
     row.update(correct=result["correct"], failed=result["failed"], attempted=result["attempted"])
+    row["cpu_s"] = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    if not trace:
+        path = os.path.join(tree, "perfbench", "results", f"{workload}-seed{seed}-trace0.json")
+        with open(path, encoding="utf-8") as fh:
+            per_task = json.load(fh)["per_task"]
+        row["per_task_tokens_per_s"] = {t: r["tokens_per_s"] for t, r in per_task.items()}
     return row
 
 
@@ -132,7 +146,7 @@ def main():
         "workloads": {},
     }
     for w in workloads:
-        report["workloads"][w] = {"pairs": pairs[w], "summary": summary(pairs[w], metrics)}
+        report["workloads"][w] = {"pairs": pairs[w], "summary": summary(pairs[w], metrics + [CPU])}
         if args.trace_seed is not None:
             report["workloads"][w]["trace"] = {
                 "harness": f"python3 perfbench/run.py --workload {w} --seed {args.trace_seed} "

@@ -157,7 +157,9 @@ class Prefix:
 def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None):
     """One full generation run, decoding ``project(grammar, cfg.constraint)``.
 
-    Constraint level ``none`` masks nothing, and its ``text`` is the
+    A step whose mask admits one id takes it without asking the policy, so
+    the policy is called only at steps with a choice.  Constraint level
+    ``none`` masks nothing, and its ``text`` is the
     tokenizer's decoding of the ids, with ``terminals`` None where that
     text does not segment into terminals.  ``constraint_seconds`` is this
     run's time in the parser and the token mask.
@@ -190,8 +192,15 @@ def generate(grammar, token_map, policy, prompt_ids, cfg, session=None, rng=None
         if not valid:
             outcome = DEAD_END
             break
-        dist = policy.next_distribution(PolicyContext(prompt, prefix.ids))
-        tok = choose_token(dist, valid, cfg, rng)
+        if len(valid) == 1:
+            # jump forward: the one admissible id needs no policy call; a
+            # sampled step still reads the double its draw would have read
+            (tok,) = valid
+            if cfg.mode == "sample":
+                rng.random()
+        else:
+            dist = policy.next_distribution(PolicyContext(prompt, prefix.ids))
+            tok = choose_token(dist, valid, cfg, rng)
         prefix = prefix.push(tok)
         if tok == EOS_ID:
             outcome = COMPLETED

@@ -231,7 +231,7 @@ class ParseState:
         self._root = root
         self._prev = prev
         self._chart = chart
-        self._succ = {}
+        self._succ = None  # terminal -> next state or _DEAD, made on the first store
 
 
 def init(grammar, session=None, forest_cap=DEFAULT_FOREST_CAP):
@@ -352,15 +352,19 @@ def _shared_chart(state):
 def extend(state, terminal):
     """New state for prefix + terminal; raises InvalidExtension on failure."""
     index = state.index
-    cached = state._succ.get(terminal)
-    if cached is not None:
-        if cached is _DEAD:
-            raise InvalidExtension(terminal, index)
-        return cached
+    succ = state._succ
+    if succ is None:
+        succ = state._succ = {}
+    else:
+        cached = succ.get(terminal)
+        if cached is not None:
+            if cached is _DEAD:
+                raise InvalidExtension(terminal, index)
+            return cached
     chart = state._chart
     link = chart.succ.get(terminal)
     if link is _DEAD:
-        state._succ[terminal] = _DEAD
+        succ[terminal] = _DEAD
         raise InvalidExtension(terminal, index)
     parser = state.parser
     node = link() if link is not None else None
@@ -373,10 +377,10 @@ def extend(state, terminal):
                 seeds.append((new, export))
         node, alive = _close_set(parser, state._root, at, index + 1, seeds)
         if not alive:
-            chart.succ[terminal] = state._succ[terminal] = _DEAD
+            chart.succ[terminal] = succ[terminal] = _DEAD
             raise InvalidExtension(terminal, index)
     new_state = ParseState(parser, index + 1, state._root, (chart, terminal, state._prev), node)
-    state._succ[terminal] = new_state
+    succ[terminal] = new_state
     return new_state
 
 

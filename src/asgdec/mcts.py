@@ -21,20 +21,33 @@ from . import earley
 from .align import EOS_ID
 from .decoding import COMPLETED, DEAD_END, MAX_LENGTH, Prefix, masked_logprobs
 from .policy import PolicyContext
+from .tasks.base import Distance, WordDistance
 
 
 @dataclass
 class Reward:
     """Distance-based reward: 1 on a complete zero-distance word, minus the
-    distance otherwise (including truncated and dead-end sequences)."""
+    distance otherwise (including truncated and dead-end sequences).
 
-    rho: object  # callable: terminal tuple -> float
+    ``rho`` is a ``tasks.base.Distance``, whose fold a rollout carries
+    step by step, or any callable of the terminal tuple, folded with the
+    word as its state."""
 
-    def of(self, terminals, completed):
-        d = abs(self.rho(tuple(terminals)))
+    rho: object
+
+    def __post_init__(self):
+        rho = self.rho
+        self.distance = rho if isinstance(rho, Distance) else WordDistance(rho)
+
+    def value(self, state, completed):
+        """The reward of a word whose distance fold stands at ``state``."""
+        d = abs(self.distance.value(state))
         if completed and d == 0:
             return 1.0
         return -d
+
+    def of(self, terminals, completed):
+        return self.value(self.distance.over(terminals), completed)
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,7 @@ class SearchStats:
 
     rollouts: int = 0
     policy_calls: int = 0  # next_distribution calls made by this search
+    forced_steps: int = 0  # rollout steps taken without the policy: one id was valid
     cache_hits: int = 0  # logic memo hits during this search
     max_branching: int = 0
     simulations: int = 0
@@ -231,29 +245,28 @@ def _leaf(node, reward, outcome):
     or the depth cap), so that its value is exact."""
     value = reward.of(node.prefix.terminals, outcome == COMPLETED)
     node.exact_value = value
-    node.rollout = (value, node.prefix.result(outcome))
+    node.rollout = (value, node.prefix.result(outcome, reward=value))
     node.exhausted = True
     node.priors = {}
     return node
 
 
-def _distance_ties(pool, prefix, rho, singles, rng):
+def _distance_ties(pool, prefix, fold, distance, singles, rng):
     """Break policy ties by the task distance of the word each token leads
     to, so a flat policy descends the distance function instead of walking
-    blindly.  Tokens whose effect on the word is not immediate (mid-terminal
-    subwords) score as the unchanged word; remaining ties stay random."""
+    blindly.  ``fold`` is the distance's state at ``prefix``.  Tokens whose
+    effect on the word is not immediate (EOS, mid-terminal subwords) score
+    as the unchanged word; remaining ties stay random."""
     if len(pool) == 1:
         return pool[0]
     here = None
     scored = []
     for tok in pool:
-        if tok == EOS_ID:
-            cost = abs(rho(prefix.terminals))
-        elif prefix.cursor.at_boundary and tok in singles:
-            cost = abs(rho(prefix.terminals + (singles[tok],)))
+        if tok != EOS_ID and prefix.cursor.at_boundary and tok in singles:
+            cost = abs(distance.value(distance.step(fold, singles[tok])))
         else:
             if here is None:
-                here = abs(rho(prefix.terminals))
+                here = abs(distance.value(fold))
             cost = here
         scored.append((cost, tok))
     best = min(c for c, _ in scored)
@@ -264,20 +277,24 @@ def _distance_ties(pool, prefix, rho, singles, rng):
 
 
 def _rollout(tree, node, policy, reward, cfg, stats, rng):
-    """Greedy constrained continuation, computed once per node."""
+    """Greedy constrained continuation, computed once per node.  A step
+    whose mask holds one id takes it without the policy; the distance's
+    fold advances with every terminal the walk emits."""
     if node.rollout is not None:
         return node.rollout
     if not node.priors:  # dead end discovered at expansion
         return _leaf(node, reward, DEAD_END).rollout
     stats.rollouts += 1
+    distance = reward.distance
     prefix = node.prefix
+    fold = distance.over(prefix.terminals)
     outcome = MAX_LENGTH
     prior_step = True
     best_stop = None  # (value, prefix) at a completable point
     # choice points for bounded backtracking: instead of scoring a dead-end
     # continuation, resume at the last step with untried tokens, from those
     # alone.  The hop cap bounds the total work per rollout.
-    frames = []  # (prefix, untried ids)
+    frames = []  # (prefix, fold, untried ids)
     pending = None
     hops = 0
     while len(prefix.ids) < cfg.max_tokens and hops < cfg.max_tokens * 8:
@@ -285,41 +302,46 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
         valid, pending = pending or prefix.mask(), None
         if not valid:
             if frames:
-                prefix, pending = frames.pop()
+                prefix, fold, pending = frames.pop()
                 continue
             outcome = DEAD_END
             break
         # optimal stopping: remember the best point where the word could
         # have been completed, and stop outright at a maximal-reward word
         if EOS_ID in valid:
-            cand = reward.of(prefix.terminals, True)
+            cand = reward.value(fold, True)
             if best_stop is None or cand > best_stop[0]:
                 best_stop = (cand, prefix)
             if cand >= 1.0:
                 break  # best_stop outscores any word without EOS
-        if prior_step:
-            weights = node.priors
+        if len(valid) == 1:
+            stats.forced_steps += 1
+            (tok,) = valid
         else:
-            # the argmax of the renormalised distribution is the argmax of
-            # the raw log-probabilities over the valid ids
-            stats.policy_calls += 1
-            ctx = PolicyContext(tree.prompt_ids, prefix.ids)
-            weights = policy.next_distribution(ctx).logprobs
-        # the ids tied (within float tolerance) for the highest weight
-        order = sorted(valid)
-        scores = [float(weights[a]) for a in order]
-        top = max(scores) - 1e-12
-        pool = [a for a, w in zip(order, scores) if w >= top]
-        tok = _distance_ties(pool, prefix, reward.rho, tree.singles, rng)
-        rest = valid - {tok}
-        if rest:
-            frames.append((prefix, rest))
+            if prior_step:
+                weights = node.priors
+            else:
+                # the argmax of the renormalised distribution is the argmax
+                # of the raw log-probabilities over the valid ids
+                stats.policy_calls += 1
+                ctx = PolicyContext(tree.prompt_ids, prefix.ids)
+                weights = policy.next_distribution(ctx).logprobs
+            # the ids tied (within float tolerance) for the highest weight
+            order = sorted(valid)
+            scores = [float(weights[a]) for a in order]
+            top = max(scores) - 1e-12
+            pool = [a for a, w in zip(order, scores) if w >= top]
+            tok = _distance_ties(pool, prefix, fold, distance, tree.singles, rng)
+            frames.append((prefix, fold, valid - {tok}))
         prior_step = False
+        before = len(prefix.terminals)
         prefix = prefix.push(tok)
+        if len(prefix.terminals) > before:
+            fold = distance.step(fold, prefix.terminals[-1])
         if tok == EOS_ID:
             outcome = COMPLETED
             break
-    value = reward.of(prefix.terminals, outcome == COMPLETED)
+    value = reward.value(fold, outcome == COMPLETED)
     if best_stop is not None and best_stop[0] > value:
         value, prefix = best_stop[0], best_stop[1].push(EOS_ID)
         outcome = COMPLETED

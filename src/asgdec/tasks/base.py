@@ -45,10 +45,57 @@ class TaskSpec:
 
     name: str
     generate: Callable  # (count, seed=...) -> list of TaskInstance
-    rho: Optional[Callable]  # params -> distance fn; None without a reward
+    rho: Optional[Callable]  # params -> Distance; None without a reward
     reference: Callable  # TaskInstance -> one solved word (terminal tuple)
     budget: int  # default generation budget of ``asgdec run``
     max_tokens: int  # default generation cap, sized to the longest answer
+
+
+class Distance:
+    """A task distance as a fold over the terminals of a word: ``start()``
+    is the state of the empty word, ``step(state, terminal)`` the state one
+    terminal longer and ``value(state)`` the distance there.  States are
+    immutable, so a search may keep and branch them.  Called on a word, a
+    distance is the value of the fold over it."""
+
+    def start(self):
+        raise NotImplementedError
+
+    def step(self, state, terminal):
+        raise NotImplementedError
+
+    def value(self, state):
+        raise NotImplementedError
+
+    def over(self, word):
+        """The state after ``word``."""
+        state = self.start()
+        for t in word:
+            state = self.step(state, t)
+        return state
+
+    def __call__(self, word):
+        return self.value(self.over(word))
+
+
+class WordDistance(Distance):
+    """A whole-word distance ``fn`` (terminal tuple -> float) as a fold
+    whose state is the word itself."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def start(self):
+        return ()
+
+    def step(self, state, terminal):
+        return state + (terminal,)
+
+    def value(self, state):
+        return self.fn(state)
+
+    def over(self, word):
+        return tuple(word)
 
 
 def save_instances(instances, directory):

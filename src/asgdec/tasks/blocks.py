@@ -17,7 +17,7 @@ from collections import deque
 
 from ..errors import UnreachableGoal
 from ..align import segment
-from .base import TaskInstance, TaskSpec
+from .base import Distance, TaskInstance, TaskSpec
 
 BLOCKS = ("red", "green", "blue")
 
@@ -363,52 +363,169 @@ def blocks_check(params, word):
     return goal <= state
 
 
-def blocks_rho(params, alpha=0.01, unreachable_penalty=100):
+# The distance reads the text of a word as ``parse_plan`` does: split at
+# ", " into parts, a final "end" cut off with the "," and " " characters
+# (``_STRIP``) before it, and empty parts dropped.  Folded a character at a
+# time, the text is held as: the replayed plan of the settled parts; the
+# last part with a character outside ``_STRIP`` (a core part), read whole
+# or stripped as the text does or does not end in "end"; whether a
+# nonempty part of ``_STRIP`` characters alone follows it (junk, which is
+# malformed unless a final "end" drops it); and the open part after the
+# last separator.
+
+_STRIP = ", "
+# every text that ``_parse_action`` reads, "stack red red" included
+_ACTION_OF = {
+    " ".join(a): a
+    for a in [(v, b) for v in ("pickup", "putdown") for b in BLOCKS]
+    + [(v, x, y) for v in ("stack", "unstack") for x in BLOCKS for y in BLOCKS]
+}
+_ACTION_PREFIXES = frozenset(t[:k] for t in _ACTION_OF for k in range(len(t) + 1))
+
+
+def _close(core, tail):
+    """(has a core, is nonempty, the part's action, its action once its
+    trailing ``_STRIP`` characters go) of a closed part; actions are None
+    when malformed."""
+    action = _ACTION_OF.get(core)
+    return core != "", core != "" or tail != "", action if tail == "" else None, action
+
+
+class _Open:
+    """The open part: ``core``, the part without its trailing run of
+    ``_STRIP`` characters, or None once it begins no action text; ``tail``,
+    the last two characters of that run.  ``e`` counts the characters of
+    "end" that the part ends with, and ``q`` is (core, tail) of the part
+    without them.  ``succ`` maps a terminal to (the closed parts, as
+    ``_close`` gives them, and the next open part)."""
+
+    __slots__ = ("core", "tail", "e", "q", "succ")
+
+    def __init__(self, core, tail, e, q):
+        self.core, self.tail, self.e, self.q = core, tail, e, q
+        self.succ = {}
+
+
+class BlocksDistance(Distance):
     """Distance to goal of the reached state (additive relaxation) plus a
     small plan-length penalty; zero exactly on valid goal-reaching plans.
 
     The plan is replayed until its first inapplicable action; a malformed
     plan, including one that ends inside an action, counts as the empty
-    plan.  Action texts and (state, action) successors are memoised."""
-    init, goal = _params_sets(params)
-    h_of = {}  # state -> h_add to the goal; 3 blocks reach at most 22 states
-    action_of = {}  # action text -> action tuple, or None when malformed
-    next_of = {}  # (state, action) -> successor state, or None
+    plan.  A state is (reached state, actions used, stuck at an
+    inapplicable action, malformed, the last core part, junk, open part);
+    a step reads its terminal once per open part, and the successors and
+    heuristic values are memoised."""
 
-    def rho(word):
-        text = "".join(word)
-        actions = []
-        for part in _action_texts(text):
-            if part not in action_of:
-                action_of[part] = _parse_action(part)
-            action = action_of[part]
-            if action is None:
-                actions = None
-                break
-            actions.append(action)
-        solved = actions is not None and text.endswith("end")
-        state = init
-        used = 0
-        for a in actions or ():
-            if (state, a) not in next_of:
-                next_of[state, a] = apply_action(state, a)
-            nxt = next_of[state, a]
-            if nxt is None:
-                break
-            state = nxt
-            used += 1
-        if solved and used == len(actions) and goal <= state:
+    def __init__(self, params, alpha=0.01, unreachable_penalty=100):
+        self.init, self.goal = _params_sets(params)
+        self.alpha, self.unreachable_penalty = alpha, unreachable_penalty
+        self._h = {}  # state -> h_add to the goal; 3 blocks reach at most 22 states
+        self._next = {}  # (state, action) -> successor state, or None
+        self._opens = {}  # (core, tail, e, q) -> the one _Open
+        self._empty = self._open("", "", 0, ("", ""))
+
+    def _open(self, *key):
+        found = self._opens.get(key)
+        if found is None:
+            found = self._opens[key] = _Open(*key)
+        return found
+
+    def _read(self, part, terminal):
+        """(closed parts, next open part) after the characters of ``terminal``."""
+        closed = []
+        core, tail, e, q = part.core, part.tail, part.e, part.q
+        for c in terminal:
+            if c == " " and tail.endswith(","):
+                closed.append(_close(core, tail[:-1]))
+                core, tail, e, q = "", "", 0, ("", "")
+                continue
+            before = (core, tail)
+            if c in _STRIP:
+                tail = (tail + c)[-2:]
+            else:
+                if core is not None:
+                    core += tail + c
+                    if core not in _ACTION_PREFIXES:
+                        core = None
+                tail = ""
+            if e < 3 and c == "end"[e]:
+                e += 1
+            elif c == "e":
+                e, q = 1, before
+            else:
+                e, q = 0, (core, tail)
+        return tuple(closed), self._open(core, tail, e, q)
+
+    def _apply(self, plan, action):
+        state, used, stuck, bad = plan
+        if action is None:
+            return state, used, stuck, True
+        if stuck or bad:
+            return plan
+        key = (state, action)
+        nxt = self._next.get(key, False)
+        if nxt is False:
+            nxt = self._next[key] = apply_action(state, action)
+        if nxt is None:
+            return state, used, True, bad
+        return nxt, used + 1, stuck, bad
+
+    def start(self):
+        return (self.init, 0, False, False, None, False, self._empty)
+
+    def step(self, state, terminal):
+        part = state[6]
+        read = part.succ.get(terminal)
+        if read is None:
+            read = part.succ[terminal] = self._read(part, terminal)
+        closed, part = read
+        if not closed:
+            return state[:6] + (part,)
+        plan, last, junk = state[:4], state[4], state[5]
+        for has_core, nonempty, raw, stripped in closed:
+            if has_core:
+                if last is not None:
+                    plan = self._apply(plan, last[0])
+                if junk:
+                    plan = self._apply(plan, None)
+                last, junk = (raw, stripped), False
+            elif nonempty:
+                junk = True
+        return plan + (last, junk, part)
+
+    def value(self, state):
+        plan, last, junk, part = state[:4], state[4], state[5], state[6]
+        ended = part.e == 3
+        if ended and part.q[0] == "":  # the plan ends at the last core part
+            if last is not None:
+                plan = self._apply(plan, last[1])
+        else:
+            if last is not None:
+                plan = self._apply(plan, last[0])
+            if junk:
+                plan = self._apply(plan, None)
+            if ended:
+                plan = self._apply(plan, _ACTION_OF.get(part.q[0]))
+            elif part.core != "" or part.tail:
+                plan = self._apply(plan, _close(part.core, part.tail)[2])
+        reached, used, stuck, bad = plan
+        if bad:
+            reached, used = self.init, 0
+        elif ended and not stuck and self.goal <= reached:
             return 0.0
-        h = h_of.get(state)
+        h = self._h.get(reached)
         if h is None:
             try:
-                h = h_add(state, goal)
+                h = h_add(reached, self.goal)
             except UnreachableGoal:
-                h = unreachable_penalty
-            h_of[state] = h
+                h = self.unreachable_penalty
+            self._h[reached] = h
+        alpha = self.alpha
         return max(h, 1) * 1.0 + alpha * used if h == 0 else h + alpha * used
 
-    return rho
+
+blocks_rho = BlocksDistance
 
 
 def _reference(inst):

@@ -14,7 +14,7 @@ import random
 import re
 
 from ..align import segment
-from .base import TaskInstance, TaskSpec
+from .base import Distance, TaskInstance, TaskSpec, WordDistance
 
 # ---------------------------------------------------------------------------
 # Sudoku 3x3: one wide production, one nonterminal per cell.  A 3x3 board
@@ -144,10 +144,7 @@ def sudoku_check(params, word):
 
 def sudoku_rho(params):
     # sparse distance: zero exactly on solved boards
-    def rho(word):
-        return 0 if sudoku_check(params, word) else 1
-
-    return rho
+    return WordDistance(lambda word: 0 if sudoku_check(params, word) else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -342,27 +339,65 @@ def coloring_entries(text):
     ]
 
 
-def coloring_rho(params):
+# Every prefix of an entry, its digits written as 0: text that is one,
+# with its digits so written, may still begin an entry.
+_ENTRY_PREFIXES = frozenset(
+    entry[:k]
+    for ci, cj in itertools.product(COLORS, repeat=2)
+    for entry in [f"(0:{ci},0:{cj})"]
+    for k in range(len(entry))
+)
+_LONGEST_ENTRY = max(map(len, _ENTRY_PREFIXES)) + 1
+
+
+class ColoringDistance(Distance):
     """Distance e - e_w: e_w counts edges that are present, consistently
-    colored with the first assignment of each node, and bi-colored."""
-    edges = [tuple(e) for e in params["edges"]]
+    colored with the first assignment of each node, and bi-colored.
 
-    def rho(word):
-        entries = coloring_entries("".join(word))
-        assign = {}
-        for i, ci, j, cj in entries:
-            assign.setdefault(i, ci)
-            assign.setdefault(j, cj)
-        good = 0
-        listed = set()
-        for i, ci, j, cj in entries:
-            if (i, j) in edges and (i, j) not in listed:
-                listed.add((i, j))
-                if ci != cj and assign[i] == ci and assign[j] == cj:
-                    good += 1
-        return len(edges) - good
+    The text is matched as ``coloring_entries`` matches it, an entry at a
+    time: a state is (the text from where the next entry may begin, the
+    first color of each node 0-9, the edges listed so far as bits, e_w).
+    The text is matched only once it holds a ")", which ends every entry,
+    or outgrows one."""
 
-    return rho
+    def __init__(self, params):
+        edges = [tuple(e) for e in params["edges"]]
+        self.bit = {e: 1 << k for k, e in enumerate(edges)}
+        self.edges = len(edges)
+
+    def start(self):
+        return "", (None,) * 10, 0, 0
+
+    def step(self, state, terminal):
+        text, assign, listed, good = state
+        text += terminal
+        if ")" not in terminal and len(text) <= _LONGEST_ENTRY:
+            return text, assign, listed, good
+        while text:
+            m = _ENTRY.match(text)
+            if m is None:
+                if "".join("0" if c.isdecimal() else c for c in text) in _ENTRY_PREFIXES:
+                    break
+                k = text.find("(", 1)
+                text = text[k:] if k > 0 else ""
+                continue
+            i, ci, j, cj = int(m[1]), m[2], int(m[3]), m[4]
+            if assign[i] is None:
+                assign = assign[:i] + (ci,) + assign[i + 1:]
+            if assign[j] is None:
+                assign = assign[:j] + (cj,) + assign[j + 1:]
+            bit = self.bit.get((i, j), 0)
+            if bit and not listed & bit:
+                listed |= bit
+                good += ci != cj and assign[i] == ci and assign[j] == cj
+            text = text[m.end():]
+        return text, assign, listed, good
+
+    def value(self, state):
+        return self.edges - state[3]
+
+
+coloring_rho = ColoringDistance
 
 
 def coloring_check(params, word):

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asgdec import (
+    EOS_ID,
     DecodeConfig,
+    Session,
     NgramPolicy,
     SubwordTokenizer,
     TerminalTokenizer,
@@ -25,13 +27,15 @@ from asgdec.decoding import (
     DEAD_END,
     MAX_LENGTH,
     _filter_topk_topp,
+    Prefix,
     choose_token,
     masked_logprobs,
 )
-from asgdec.policy import Distribution
+from asgdec.grammar import project
+from asgdec.policy import Distribution, PolicyContext
 from asgdec.tasks import generate_instances
 
-from conftest import anbncn_member
+from conftest import CountingPolicy, anbncn_member
 
 
 def dist(probs):
@@ -332,3 +336,85 @@ def test_best_of_n_flags_when_nothing_survives():
         g, tmap, UniformPolicy(tmap.vocab_size), (), cfg, lambda r: 0.0
     )
     assert best.flagged and len(results) == 3
+
+
+# ---------------------------------------------------------------------------
+# jump-forward: a step whose mask admits one id asks no policy
+
+
+class LengthPolicy:
+    """A fixed random distribution for each number of generated tokens."""
+
+    def __init__(self, vocab_size, salt):
+        self.vocab_size = vocab_size
+        self.salt = salt
+
+    def next_distribution(self, ctx):
+        logits = np.random.default_rng((self.salt, len(ctx.generated))).normal(size=self.vocab_size)
+        return Distribution(logits - np.log(np.exp(logits).sum()))
+
+
+def _jump_cases():
+    """(grammar, token map) pairs whose masks often admit one id."""
+    from asgdec import parse_grammar
+
+    cases = []
+    for task in ("blocksworld", "sudoku3"):
+        g = generate_instances(task, 1, seed=0)[0].grammar()
+        cases.append((g, build_map(g.terminals, TerminalTokenizer(g.terminals))))
+    g = parse_grammar('s -> "ab" s "c" {} | "ab" "c" {}')
+    cases.append((g, build_map(g.terminals, SubwordTokenizer(["a", "b", "c", "ab"]))))
+    return cases
+
+
+JUMP_CONFIGS = [
+    dict(mode="greedy"),
+    dict(mode="sample"),
+    dict(mode="sample", top_k=2),
+    dict(mode="sample", top_p=0.7, temperature=0.8),
+]
+
+
+def reference_generate(grammar, token_map, policy, cfg):
+    """(ids, outcome) of the constrained loop of ``generate`` with a
+    ``choose_token`` call on every step, forced or not."""
+    rng = np.random.default_rng(cfg.seed)
+    prefix = Prefix.start(project(grammar, cfg.constraint), token_map, Session())
+    for _ in range(cfg.max_tokens):
+        valid = prefix.mask()
+        if not valid:
+            return prefix.ids, DEAD_END
+        dist = policy.next_distribution(PolicyContext((), prefix.ids))
+        tok = choose_token(dist, valid, cfg, rng)
+        prefix = prefix.push(tok)
+        if tok == EOS_ID:
+            return prefix.ids, COMPLETED
+    return prefix.ids, MAX_LENGTH
+
+
+@pytest.mark.parametrize("options", JUMP_CONFIGS)
+def test_generate_draws_what_a_draw_at_every_step_draws(options):
+    for g, tmap in _jump_cases():
+        for seed in range(5):
+            policy = LengthPolicy(tmap.vocab_size, seed)
+            cfg = DecodeConfig(constraint="sem", seed=seed, max_tokens=40, **options)
+            r = generate(g, tmap, policy, (), cfg)
+            assert (r.token_ids, r.outcome) == reference_generate(g, tmap, policy, cfg)
+
+
+@pytest.mark.parametrize("options", JUMP_CONFIGS[:2])
+def test_generate_asks_the_policy_only_at_steps_with_a_choice(options):
+    forced = 0
+    for g, tmap in _jump_cases():
+        for seed in range(3):
+            policy = CountingPolicy(LengthPolicy(tmap.vocab_size, seed))
+            cfg = DecodeConfig(constraint="sem", seed=seed, max_tokens=40, **options)
+            r = generate(g, tmap, policy, (), cfg)
+            prefix = Prefix.start(project(g, "sem"), tmap, Session())
+            choices = 0
+            for tok in r.token_ids:
+                choices += len(prefix.mask()) >= 2
+                forced += len(prefix.mask()) == 1
+                prefix = prefix.push(tok)
+            assert policy.calls == choices
+    assert forced > 0

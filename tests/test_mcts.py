@@ -320,6 +320,35 @@ def test_search_counts_its_own_policy_calls(anbncn_grammar):
     assert bare_stats.policy_calls == stats.policy_calls == counting.calls > 0
 
 
+def test_rollouts_take_forced_steps_without_the_policy(anbncn_grammar):
+    # after the a's, every b and c is forced; only steps with a choice
+    # call the policy
+    tmap = build_map(anbncn_grammar.terminals, TerminalTokenizer(anbncn_grammar.terminals))
+    from asgdec.tasks.sgs import anbncn_rho
+
+    counting = CountingPolicy(UniformPolicy(tmap.vocab_size))
+    cfg = SearchConfig(budget=10, max_tokens=20, seed=0)
+    _, stats = search(SearchTree(anbncn_grammar, tmap, ()), counting, Reward(anbncn_rho(4)), cfg)
+    assert stats.forced_steps > 0
+    assert stats.policy_calls == counting.calls
+
+
+def test_results_found_at_a_leaf_carry_their_reward(anbncn_grammar):
+    # a search whose best word closes at a leaf of the tree reports that
+    # leaf's reward, as one found by a rollout does
+    from asgdec.tasks import generate_instances, rho_for
+
+    tmap = build_map(anbncn_grammar.terminals, TerminalTokenizer(anbncn_grammar.terminals))
+    for inst in generate_instances("anbncn", 4):
+        reward = Reward(rho_for(inst))
+        for seed in range(5):
+            tree = SearchTree(inst.grammar(), tmap, ())
+            cfg = SearchConfig(budget=10, max_tokens=64, seed=seed)
+            result, _ = search(tree, UniformPolicy(tmap.vocab_size), reward, cfg)
+            completed = result.outcome == COMPLETED
+            assert result.reward == reward.of(result.terminals, completed)
+
+
 def test_a_new_child_is_masked_once(anbncn_grammar, monkeypatch):
     # the forced-move loop masks a new child's final prefix; its expansion
     # must reuse that mask rather than compute it again

@@ -7,6 +7,7 @@ import pytest
 from asgdec import Session, accepts, parse_grammar
 from asgdec.tasks import (
     TASK_IDS,
+    TASKS,
     checker_for,
     generate_instances,
     load_instance,
@@ -16,6 +17,7 @@ from asgdec.tasks import (
     score_run,
 )
 from asgdec.tasks import blocks, jsontask, puzzles, sgs
+from asgdec.tasks.base import Distance
 
 from conftest import ambncmdn_member, anbncn_member, copy_member
 
@@ -334,6 +336,16 @@ def _random_plan_word(rng, params, terminals):
     return tuple(word)
 
 
+def assert_fold_matches(rho, ref, word):
+    """The fold's value after every prefix of ``word`` is ``ref`` of it."""
+    state = rho.start()
+    for k in range(len(word) + 1):
+        assert rho.value(state) == ref(word[:k]), word[:k]
+        if k < len(word):
+            state = rho.step(state, word[k])
+    assert rho(word) == ref(word)
+
+
 def test_blocks_rho_matches_its_unmemoised_reference():
     import random
 
@@ -344,7 +356,23 @@ def test_blocks_rho_matches_its_unmemoised_reference():
         words = [reference_solution(inst), ()]
         words += [_random_plan_word(rng, inst.params, terminals) for _ in range(2000)]
         for word in words:
-            assert rho(word) == ref(word), word
+            assert_fold_matches(rho, ref, word)
+
+
+def test_blocks_rho_reads_any_text_as_its_reference_does():
+    # terminals that split the separator, "end" or an action in two, and
+    # runs of "," and " " that the final "end" drops
+    import random
+
+    rng = random.Random(1)
+    pieces = list("pickuputdownstackredgreenblue ,end") + [", ", "end", ",, ", " , "]
+    inst = generate_instances("blocksworld", 1, seed=0)[0]
+    rho, ref = blocks.blocks_rho(inst.params), reference_blocks_rho(inst.params)
+    for _ in range(1500):
+        word = tuple(rng.choice(pieces) for _ in range(rng.randrange(40)))
+        assert_fold_matches(rho, ref, word)
+    for word in [("pickup red",), ("pickup red", "end"), ("pickup red  ,,", "end")]:
+        assert_fold_matches(rho, ref, word)
 
 
 def test_blocks_rho_scores_a_word_ending_mid_action_as_the_empty_plan():
@@ -355,6 +383,104 @@ def test_blocks_rho_scores_a_word_ending_mid_action_as_the_empty_plan():
     word = ("unstack ", "blue", " ", "red", ", ")
     assert rho(word) == 7.01
     assert rho(word + ("putdown ",)) == rho(()) == 4.0
+
+
+def test_blocks_rho_drops_the_spaces_before_a_final_end_only():
+    # the final "end" goes with the "," and " " before it, so the stray
+    # space after "red" is dropped; without "end" it makes the action
+    # malformed, and an "end" in the middle is a malformed action
+    inst = generate_instances("blocksworld", 3, seed=0)[2]
+    rho = blocks.blocks_rho(inst.params)
+    ref = reference_blocks_rho(inst.params)
+    word = ("unstack ", "blue", " ", "red", " ", ", ", "end")
+    assert rho(word) == 7.01
+    assert rho(word[:-1]) == 4.0
+    middle = ("unstack ", "blue", " ", "red", ", ", "end", ", ", "putdown ", "blue", ", ")
+    assert rho(middle) == rho(()) == 4.0
+    for w in (word, middle, middle + ("end",)):
+        assert_fold_matches(rho, ref, w)
+
+
+# Whole-word distances, as each task defined its distance before the folds.
+
+
+def _reference_anbncn_rho(params):
+    n = params["n"]
+
+    def rho(word):
+        base = abs(n - sum(1 for t in word if t == "a"))
+        return 1 if base == 0 and not sgs.anbncn_check(n, word) else base
+
+    return rho
+
+
+def _reference_ambncmdn_rho(params):
+    def rho(word):
+        count = sum(1 for t in word if t in ("a", "b"))
+        base = abs(params["m"] + params["n"] - count)
+        return 1 if base == 0 and not sgs.ambncmdn_check(params, word) else base
+
+    return rho
+
+
+def _reference_coloring_rho(params):
+    edges = [tuple(e) for e in params["edges"]]
+
+    def rho(word):
+        entries = puzzles.coloring_entries("".join(word))
+        assign = {}
+        for i, ci, j, cj in entries:
+            assign.setdefault(i, ci)
+            assign.setdefault(j, cj)
+        good, listed = 0, set()
+        for i, ci, j, cj in entries:
+            if (i, j) in edges and (i, j) not in listed:
+                listed.add((i, j))
+                if ci != cj and assign[i] == ci and assign[j] == cj:
+                    good += 1
+        return len(edges) - good
+
+    return rho
+
+
+REFERENCE_RHO = {
+    "anbncn": _reference_anbncn_rho,
+    "ambncmdn": _reference_ambncmdn_rho,
+    "graph3color": _reference_coloring_rho,
+    "blocksworld": reference_blocks_rho,
+    # these two keep the word as the fold's state
+    "copy": lambda params: sgs.copy_rho(params).fn,
+    "sudoku3": lambda params: lambda w: 0 if puzzles.sudoku_check(params, w) else 1,
+    "sudoku4": lambda params: lambda w: 0 if puzzles.sudoku_check(params, w) else 1,
+}
+
+
+def test_every_task_with_a_distance_has_a_reference():
+    assert set(REFERENCE_RHO) == {t for t in TASK_IDS if TASKS[t].rho is not None}
+
+
+@pytest.mark.parametrize("task", sorted(REFERENCE_RHO))
+def test_distance_fold_matches_its_whole_word_reference(task):
+    import random
+
+    rng = random.Random(task)
+    for inst in generate_instances(task, 4, seed=0):
+        rho, ref = rho_for(inst), REFERENCE_RHO[task](inst.params)
+        assert isinstance(rho, Distance)
+        solved = reference_solution(inst)
+        terminals = sorted(inst.grammar().terminals)
+        words = [solved, ()]
+        for _ in range(150):
+            word = list(solved)
+            for _ in range(rng.randrange(4)):
+                word[rng.randrange(len(word))] = rng.choice(terminals)
+            words.append(tuple(word))
+            words.append(tuple(rng.choice(terminals) for _ in range(rng.randrange(len(solved) + 4))))
+        if task == "graph3color":  # entries split across junk and merged terminals
+            pieces = list("(1234:,)x") + ["red", "green", "blue", "(1:red,2:green)"]
+            words += [tuple(rng.choice(pieces) for _ in range(rng.randrange(40))) for _ in range(150)]
+        for word in words:
+            assert_fold_matches(rho, ref, word)
 
 
 def test_plan_grammar_stops_at_goal():
