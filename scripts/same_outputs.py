@@ -16,15 +16,18 @@ production id, fragment name and rule id.  The ``records`` check runs
 ``cli.run_batch`` on every task x algo x level that ``asgdec run``
 accepts (bon and mcts only where the task has a distance; count 2, budget
 8, uniform policy, one worker) and compares the records, less their
-``t_constraint_ms``.  Prints one line per check and seed, and exits 1 on
-any difference.
+``t_constraint_ms``.  The ``distances`` check folds every task distance,
+over the same instances as ``grammars``, on the reference word, edited
+copies of it and seeded random words over the instance's terminals, and
+compares ``repr(rho(prefix))`` for every prefix.  Prints one line per
+check and seed, and exits 1 on any difference.
 
 Usage:
     python scripts/same_outputs.py --other ../parent/src --seeds 5 7 11
     python scripts/same_outputs.py --other ../parent/src --workloads mcts_search
     python scripts/same_outputs.py --other ../parent/src --workloads grammars \
         --seeds 0 1 2 3 4 5 6 7 8 9
-    python scripts/same_outputs.py --other ../parent/src --workloads records
+    python scripts/same_outputs.py --other ../parent/src --workloads records distances
 """
 
 import argparse
@@ -37,7 +40,9 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = (
     "sample_sem", "json_subword", "mcts_search", "verify_words", "grammars", "records",
+    "distances",
 )
+RANDOM_WORDS = 40  # edited reference words, and as many random ones, per instance
 GRAMMAR_INSTANCES = 6  # per task and seed
 LEVELS = ("none", "cfg", "csg", "sem")
 
@@ -90,6 +95,40 @@ def record_rows(seed):
     return rows
 
 
+def distance_rows(seed):
+    """One row per word, its distance after every prefix in place of the
+    token ids."""
+    import random
+
+    from asgdec.tasks import TASKS, generate_instances, reference_solution, rho_for
+
+    rng = random.Random(seed)
+    rows = []
+    for task, spec in TASKS.items():
+        if spec.rho is None:
+            continue
+        for inst in generate_instances(task, GRAMMAR_INSTANCES, seed=seed):
+            rho, solved = rho_for(inst), reference_solution(inst)
+            terminals = sorted(inst.grammar().terminals)
+            words = [solved]
+            for _ in range(RANDOM_WORDS):
+                word = list(solved)  # the reference with a few terminals changed
+                for _ in range(rng.randrange(1, 4)):
+                    word.insert(rng.randrange(len(word) + 1), rng.choice(terminals))
+                    del word[rng.randrange(len(word))]
+                words.append(tuple(word))
+                length = rng.randrange(len(solved) + 4)
+                words.append(tuple(rng.choice(terminals) for _ in range(length)))
+            for k, word in enumerate(words):
+                values = [repr(rho(word[:n])) for n in range(len(word) + 1)]
+                rows.append([f"{inst.instance_id} #{k}", values, "distance", True, None, []])
+    return rows
+
+
+# the checks, whose rows are not operations
+CHECKS = {"grammars": grammar_rows, "records": record_rows, "distances": distance_rows}
+
+
 def dump(src, workload, seed):
     """Print one JSON row per operation of ``workload`` run on ``src``."""
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
@@ -97,8 +136,8 @@ def dump(src, workload, seed):
 
     if not os.path.abspath(asgdec.__file__).startswith(src + os.sep):
         raise SystemExit(f"error: asgdec imported from {asgdec.__file__}, not {src}")
-    if workload in ("grammars", "records"):
-        json.dump((grammar_rows if workload == "grammars" else record_rows)(seed), sys.stdout)
+    if workload in CHECKS:
+        json.dump(CHECKS[workload](seed), sys.stdout)
         return
     from workloads import WORKLOADS as SETUPS
 
@@ -158,7 +197,7 @@ def main():
             differ = differ or not same
             print(
                 f"seed {seed} {workload}: {len(mine)} "
-                f"{workload if workload in ('grammars', 'records') else 'operations'}, "
+                f"{workload if workload in CHECKS else 'operations'}, "
                 f"{'same' if same else 'DIFFERENT'}; kept faults {dict(faults)}"
                 + ("" if faults == other_faults else f" vs {dict(other_faults)}")
                 + (f"; first differences: {diff[:5]}" if diff else "")

@@ -214,6 +214,10 @@ def cmd_run(args):
             file=sys.stderr,
         )
         return 2
+    for flag, value in (("--budget", args.budget), ("--max-tokens", args.max_tokens)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1, not {value}", file=sys.stderr)
+            return 2
     if args.algo == "mcts" and args.constraint == "none":
         print("note: unconstrained search baseline (flagged)", file=sys.stderr)
     cfg = {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
 from collections import deque
 
 from ..errors import UnreachableGoal
@@ -309,19 +308,12 @@ def generate_blocksworld(count, seed=0):
     return out
 
 
-_ACTION = re.compile(
-    r"(pickup|putdown) (red|green|blue)|(stack|unstack) (red|green|blue) (red|green|blue)"
-)
-
-
-def _parse_action(part):
-    """Action tuple of one action text; None when malformed."""
-    m = _ACTION.fullmatch(part)
-    if not m:
-        return None
-    if m.group(1):
-        return (m.group(1), m.group(2))
-    return (m.group(3), m.group(4), m.group(5))
+# every action text of the plan grammar, "stack red red" included
+_ACTION_OF = {
+    " ".join(a): a
+    for a in [(v, b) for v in ("pickup", "putdown") for b in BLOCKS]
+    + [(v, x, y) for v in ("stack", "unstack") for x in BLOCKS for y in BLOCKS]
+}
 
 
 def _action_texts(text):
@@ -332,13 +324,8 @@ def _action_texts(text):
 
 def parse_plan(text):
     """Action tuples from the word text; None when malformed."""
-    actions = []
-    for part in _action_texts(text):
-        action = _parse_action(part)
-        if action is None:
-            return None
-        actions.append(action)
-    return actions
+    actions = [_ACTION_OF.get(part) for part in _action_texts(text)]
+    return None if None in actions else actions
 
 
 def _params_sets(params):
@@ -363,47 +350,22 @@ def blocks_check(params, word):
     return goal <= state
 
 
-# The distance reads the text of a word as ``parse_plan`` does: split at
-# ", " into parts, a final "end" cut off with the "," and " " characters
-# (``_STRIP``) before it, and empty parts dropped.  Folded a character at a
-# time, the text is held as: the replayed plan of the settled parts; the
-# last part with a character outside ``_STRIP`` (a core part), read whole
-# or stripped as the text does or does not end in "end"; whether a
-# nonempty part of ``_STRIP`` characters alone follows it (junk, which is
-# malformed unless a final "end" drops it); and the open part after the
-# last separator.
-
-_STRIP = ", "
-# every text that ``_parse_action`` reads, "stack red red" included
-_ACTION_OF = {
-    " ".join(a): a
-    for a in [(v, b) for v in ("pickup", "putdown") for b in BLOCKS]
-    + [(v, x, y) for v in ("stack", "unstack") for x in BLOCKS for y in BLOCKS]
-}
-_ACTION_PREFIXES = frozenset(t[:k] for t in _ACTION_OF for k in range(len(t) + 1))
-
-
-def _close(core, tail):
-    """(has a core, is nonempty, the part's action, its action once its
-    trailing ``_STRIP`` characters go) of a closed part; actions are None
-    when malformed."""
-    action = _ACTION_OF.get(core)
-    return core != "", core != "" or tail != "", action if tail == "" else None, action
-
-
-class _Open:
-    """The open part: ``core``, the part without its trailing run of
-    ``_STRIP`` characters, or None once it begins no action text; ``tail``,
-    the last two characters of that run.  ``e`` counts the characters of
-    "end" that the part ends with, and ``q`` is (core, tail) of the part
-    without them.  ``succ`` maps a terminal to (the closed parts, as
-    ``_close`` gives them, and the next open part)."""
-
-    __slots__ = ("core", "tail", "e", "q", "succ")
-
-    def __init__(self, core, tail, e, q):
-        self.core, self.tail, self.e, self.q = core, tail, e, q
-        self.succ = {}
+def _settle(text):
+    """(the settled nonempty parts of ``text``, the text after them).  A
+    part is settled once a later part begins with a character other than
+    "," and " ", and the text from that part on is not "e", "en" or "end":
+    a final "end" then strips only characters of that text, so
+    ``_action_texts`` of any longer text is the settled parts followed by
+    ``_action_texts`` of the rest."""
+    parts = text.split(", ")
+    j = len(parts) - 1
+    if parts[j] in ("e", "en", "end"):
+        j -= 1
+    while j > 0 and parts[j][:1] in ("", ",", " "):
+        j -= 1
+    if j <= 0:
+        return [], text
+    return [p for p in parts[:j] if p], ", ".join(parts[j:])
 
 
 class BlocksDistance(Distance):
@@ -413,49 +375,18 @@ class BlocksDistance(Distance):
     The plan is replayed until its first inapplicable action; a malformed
     plan, including one that ends inside an action, counts as the empty
     plan.  A state is (reached state, actions used, stuck at an
-    inapplicable action, malformed, the last core part, junk, open part);
-    a step reads its terminal once per open part, and the successors and
-    heuristic values are memoised."""
+    inapplicable action, malformed) after the settled parts of the text
+    (see ``_settle``), and the text after them.  The reads of a text and
+    terminal, the successors, the heuristic values and the values of
+    states are memoised."""
 
     def __init__(self, params, alpha=0.01, unreachable_penalty=100):
         self.init, self.goal = _params_sets(params)
         self.alpha, self.unreachable_penalty = alpha, unreachable_penalty
         self._h = {}  # state -> h_add to the goal; 3 blocks reach at most 22 states
         self._next = {}  # (state, action) -> successor state, or None
-        self._opens = {}  # (core, tail, e, q) -> the one _Open
-        self._empty = self._open("", "", 0, ("", ""))
-
-    def _open(self, *key):
-        found = self._opens.get(key)
-        if found is None:
-            found = self._opens[key] = _Open(*key)
-        return found
-
-    def _read(self, part, terminal):
-        """(closed parts, next open part) after the characters of ``terminal``."""
-        closed = []
-        core, tail, e, q = part.core, part.tail, part.e, part.q
-        for c in terminal:
-            if c == " " and tail.endswith(","):
-                closed.append(_close(core, tail[:-1]))
-                core, tail, e, q = "", "", 0, ("", "")
-                continue
-            before = (core, tail)
-            if c in _STRIP:
-                tail = (tail + c)[-2:]
-            else:
-                if core is not None:
-                    core += tail + c
-                    if core not in _ACTION_PREFIXES:
-                        core = None
-                tail = ""
-            if e < 3 and c == "end"[e]:
-                e += 1
-            elif c == "e":
-                e, q = 1, before
-            else:
-                e, q = 0, (core, tail)
-        return tuple(closed), self._open(core, tail, e, q)
+        self._reads = {}  # (text, terminal) -> (settled parts, rest)
+        self._values = {}  # fold state -> value
 
     def _apply(self, plan, action):
         state, used, stuck, bad = plan
@@ -471,48 +402,35 @@ class BlocksDistance(Distance):
             return state, used, True, bad
         return nxt, used + 1, stuck, bad
 
+    def _replay(self, plan, texts):
+        for text in texts:
+            plan = self._apply(plan, _ACTION_OF.get(text))
+        return plan
+
     def start(self):
-        return (self.init, 0, False, False, None, False, self._empty)
+        return (self.init, 0, False, False, "")
 
     def step(self, state, terminal):
-        part = state[6]
-        read = part.succ.get(terminal)
+        key = (state[4], terminal)
+        read = self._reads.get(key)
         if read is None:
-            read = part.succ[terminal] = self._read(part, terminal)
-        closed, part = read
-        if not closed:
-            return state[:6] + (part,)
-        plan, last, junk = state[:4], state[4], state[5]
-        for has_core, nonempty, raw, stripped in closed:
-            if has_core:
-                if last is not None:
-                    plan = self._apply(plan, last[0])
-                if junk:
-                    plan = self._apply(plan, None)
-                last, junk = (raw, stripped), False
-            elif nonempty:
-                junk = True
-        return plan + (last, junk, part)
+            read = self._reads[key] = _settle(key[0] + terminal)
+        settled, rest = read
+        return self._replay(state[:4], settled) + (rest,)
 
     def value(self, state):
-        plan, last, junk, part = state[:4], state[4], state[5], state[6]
-        ended = part.e == 3
-        if ended and part.q[0] == "":  # the plan ends at the last core part
-            if last is not None:
-                plan = self._apply(plan, last[1])
-        else:
-            if last is not None:
-                plan = self._apply(plan, last[0])
-            if junk:
-                plan = self._apply(plan, None)
-            if ended:
-                plan = self._apply(plan, _ACTION_OF.get(part.q[0]))
-            elif part.core != "" or part.tail:
-                plan = self._apply(plan, _close(part.core, part.tail)[2])
-        reached, used, stuck, bad = plan
+        value = self._values.get(state)
+        if value is None:
+            value = self._values[state] = self._value(state)
+        return value
+
+    def _value(self, state):
+        rest = state[4]
+        reached, used, stuck, bad = self._replay(state[:4], _action_texts(rest))
         if bad:
             reached, used = self.init, 0
-        elif ended and not stuck and self.goal <= reached:
+        # the rest follows a separator, so the word ends in "end" when it does
+        elif rest.endswith("end") and not stuck and self.goal <= reached:
             return 0.0
         h = self._h.get(reached)
         if h is None:

@@ -91,6 +91,13 @@ def test_run_rejects_unknown_task(capsys):
     assert "unknown task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--max-tokens"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_run_rejects_a_budget_or_token_limit_below_one(flag, value, capsys):
+    assert main(["run", "--task", "anbncn", "--count", "1", "--workers", "1", flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+
 def test_run_rejects_search_on_rewardless_task(capsys):
     assert main(["run", "--task", "json", "--algo", "mcts", "--workers", "1"]) == 2
     assert "reward" in capsys.readouterr().err

@@ -314,10 +314,15 @@ def reference_blocks_rho(params, alpha=0.01, unreachable_penalty=100):
 
 
 def _random_plan_word(rng, params, terminals):
-    """A word of whole actions, mostly applicable ones, possibly cut short
-    mid-action or ended with "end"; one time in four, random terminals."""
+    """A ``_whole_action_word``; one time in four, random terminals."""
     if rng.random() < 0.25:
         return tuple(rng.choice(terminals) for _ in range(rng.randrange(12)))
+    return _whole_action_word(rng, params)
+
+
+def _whole_action_word(rng, params):
+    """A word of whole actions, mostly applicable ones, possibly cut short
+    mid-action or ended with "end"."""
     state, _ = blocks._params_sets(params)
     actions = blocks._actions(blocks.BLOCKS)
     word = []
@@ -371,8 +376,28 @@ def test_blocks_rho_reads_any_text_as_its_reference_does():
     for _ in range(1500):
         word = tuple(rng.choice(pieces) for _ in range(rng.randrange(40)))
         assert_fold_matches(rho, ref, word)
-    for word in [("pickup red",), ("pickup red", "end"), ("pickup red  ,,", "end")]:
+    for word in [
+        ("pickup red",), ("pickup red", "end"), ("pickup red  ,,", "end"),
+        ("pickup red", ",", ", ", "e", "n", "d"),
+        ("pickup red", ",", ", ", "en", "d"),
+        ("pickup red", ",", ", ", ",", "end"),
+    ]:
         assert_fold_matches(rho, ref, word)
+
+
+def test_blocks_rho_holds_at_most_one_action_of_text_on_whole_action_words():
+    # every part of such a word begins with an action, so the text after
+    # the settled parts is at most one action, its separator and "end"
+    import random
+
+    rng = random.Random(2)
+    inst = generate_instances("blocksworld", 1, seed=0)[0]
+    rho = blocks.blocks_rho(inst.params)
+    for _ in range(2000):
+        state = rho.start()
+        for t in _whole_action_word(rng, inst.params):
+            state = rho.step(state, t)
+            assert len(state[-1]) <= len("unstack green green, end"), state[-1]
 
 
 def test_blocks_rho_scores_a_word_ending_mid_action_as_the_empty_plan():
