@@ -25,18 +25,14 @@ class TokenMap:
 
     ``expansions`` admits every segmentation so that masking never excludes
     a spelling the model could produce; ``canonical`` is the tokenizer's own
-    encoding, used when the engine itself emits a terminal.  ``spelled``
-    and ``continued`` index the expansions for ``apply_token``: an
-    expansion spells one text, so it names one terminal.  ``texts`` is the
-    tokenizer's decoding of each id (EOS decodes to ""), which spells a
+    encoding, used when the engine itself emits a terminal.  ``texts`` is
+    the tokenizer's decoding of each id (EOS decodes to ""), which spells a
     word whether or not its tokens align with terminals.
     """
 
     expansions: dict  # terminal -> tuple of token-id tuples
     canonical: dict  # terminal -> token-id tuple
     vocab_size: int
-    spelled: dict  # expansion -> its terminal
-    continued: dict  # proper prefix of an expansion -> set of terminals
     texts: tuple  # token id -> its text
 
     def terminals(self):
@@ -51,8 +47,6 @@ def build_map(terminals, tokenizer):
             pieces.setdefault(text, []).append(tid)
     expansions = {}
     canonical = {}
-    spelled = {}
-    continued = {}
     for term in sorted(terminals):
         segs = _segmentations(term, pieces)
         if not segs:
@@ -62,16 +56,10 @@ def build_map(terminals, tokenizer):
         expansions[term] = tuple(sorted(segs))
         enc = tuple(tokenizer.encode(term))
         canonical[term] = enc if tuple(enc) in segs else expansions[term][0]
-        for exp in segs:
-            spelled[exp] = term
-            for k in range(1, len(exp)):
-                continued.setdefault(exp[:k], set()).add(term)
     return TokenMap(
         expansions=expansions,
         canonical=canonical,
         vocab_size=tokenizer.vocab_size,
-        spelled=spelled,
-        continued=continued,
         texts=texts,
     )
 
@@ -151,43 +139,48 @@ def tau_inverse(token_map, tokenizer, token_ids):
 
 
 def valid_tokens(state, token_map, cursor):
-    """Vocabulary ids admissible next, lifted from the valid terminals.
+    """Vocabulary ids admissible next, lifted from the valid terminals, each
+    mapped to what it does: the terminal it completes, or None when it only
+    continues one.
 
     A token is admissible iff the extended buffer is a prefix of (or
-    completes) an expansion of some currently valid terminal.  EOS is
-    admissible only at a terminal boundary when the parse is complete.
+    completes) an expansion of some currently valid terminal; an expansion
+    spells one text, so a token completes at most one terminal, and when it
+    also continues another, completion wins.  EOS, mapped to
+    ``END_MARKER``, is admissible only at a terminal boundary when the
+    parse is complete.
     """
-    terms = valid_terminals(state)
-    out = set()
+    out = {}
     n = len(cursor.buffer)
-    for term in terms:
+    for term in valid_terminals(state):
         if term is END_MARKER:
             if cursor.at_boundary:
-                out.add(EOS_ID)
+                out[EOS_ID] = END_MARKER
             continue
         for exp in token_map.expansions[term]:
             if len(exp) > n and exp[:n] == cursor.buffer:
-                out.add(exp[n])
+                if len(exp) == n + 1:
+                    out[exp[n]] = term
+                else:
+                    out.setdefault(exp[n], None)
     return out
 
 
-def apply_token(state, token_map, cursor, token_id):
+def apply_token(state, token_map, cursor, token_id, mask=None):
     """Advance by one vocabulary token.
 
-    Returns (state, cursor, emitted terminal or None).  A token that
-    completes an expansion advances the parse state immediately; when it
-    both completes one terminal and continues another, completion wins.
+    Returns (state, cursor, emitted terminal or None): the terminal the
+    token completes advances the parse state, as ``valid_tokens`` maps it.
+    ``mask`` is ``valid_tokens`` at this position when the caller holds it.
     """
-    terms = valid_terminals(state)
-    buffer = cursor.buffer + (token_id,)
-    completed = token_map.spelled.get(buffer)
-    if completed in terms:
-        return extend(state, completed), AlignCursor(), completed
-    if not terms.isdisjoint(token_map.continued.get(buffer, ())):
-        return state, AlignCursor(buffer), None
-    raise UncoverableTerminal(
-        f"token {token_id} does not continue any valid terminal"
-    )
+    if mask is None:
+        mask = valid_tokens(state, token_map, cursor)
+    term = mask.get(token_id, END_MARKER)
+    if term is END_MARKER:
+        raise UncoverableTerminal(f"token {token_id} does not continue any valid terminal")
+    if term is None:
+        return state, AlignCursor(cursor.buffer + (token_id,)), None
+    return extend(state, term), AlignCursor(), term
 
 
 # ---------------------------------------------------------------------------

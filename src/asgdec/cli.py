@@ -214,7 +214,8 @@ def cmd_run(args):
             file=sys.stderr,
         )
         return 2
-    for flag, value in (("--budget", args.budget), ("--max-tokens", args.max_tokens)):
+    limits = ("--budget", args.budget), ("--max-tokens", args.max_tokens), ("--count", args.count)
+    for flag, value in limits:
         if value is not None and value < 1:
             print(f"error: {flag} must be at least 1, not {value}", file=sys.stderr)
             return 2

@@ -130,7 +130,7 @@ class Prefix:
         return cls(state, AlignCursor(), (), (), token_map)
 
     def mask(self):
-        """The admissible next token ids, computed once; do not change the set."""
+        """``align.valid_tokens`` at this prefix, computed once; do not change it."""
         if self._mask is None:
             t0 = time.perf_counter()
             self._mask = align.valid_tokens(self.state, self.token_map, self.cursor)
@@ -143,7 +143,8 @@ class Prefix:
         if tok == EOS_ID:
             return Prefix(self.state, self.cursor, self.terminals, ids, self.token_map)
         t0 = time.perf_counter()
-        state, cursor, emitted = align.apply_token(self.state, self.token_map, self.cursor, tok)
+        state, cursor, emitted = align.apply_token(
+            self.state, self.token_map, self.cursor, tok, self._mask)
         state.parser.session.constraint_seconds += time.perf_counter() - t0
         terminals = self.terminals if emitted is None else self.terminals + (emitted,)
         return Prefix(state, cursor, terminals, ids, self.token_map)

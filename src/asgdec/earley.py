@@ -14,8 +14,8 @@ a complete item exports only the predicates some production reads at a
 position holding its head (``Grammar.kept``; blocksworld's ``seq`` keeps
 ``holds`` and ``met``).  No verdict or mask changes, and more items and
 memo keys become equal.  Each distinct (kept predicates, model) is
-projected once per Session into a ``Model``, which keeps the ``FactIndex``
-its first reader builds.  Overflows propagate out of ``valid_terminals``
+projected once per Session into a ``Model``, which keeps the indexes its
+first reader builds.  Overflows propagate out of ``valid_terminals``
 and ``accepts``: a cap never narrows a mask or rejects a word.
 
 Live charts.  Once an item set is closed, only part of it is ever read

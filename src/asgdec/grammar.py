@@ -19,10 +19,10 @@ from .logic import (
     EMPTY_FRAGMENT,
     UNSAT,
     LogicFragment,
+    Model,
     _RuleParser,
     evaluate_node,
     format_rule,
-    index_model,
     tokenize,
 )
 
@@ -89,13 +89,13 @@ class Grammar:
 
     @cached_property
     def background_index(self):
-        """Indexed model of the background, built once per grammar.  An
+        """The background's ``Model``, built once per grammar.  An
         inconsistent background raises ``BackgroundUnsat`` every time,
         since a raising ``cached_property`` stores nothing."""
         result = evaluate_node(self.background, [], {})
         if result.status == UNSAT:
             raise BackgroundUnsat(f"background constraint {result.violated} is violated")
-        return index_model(result.model)
+        return Model(result.model)
 
 
 # ---------------------------------------------------------------------------

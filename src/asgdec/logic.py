@@ -77,18 +77,12 @@ class Tup:
     def __hash__(self):
         return self._hash
 
-    def __repr__(self):
-        return "(" + ",".join(repr(i) for i in self.items) + ")"
-
 
 @dataclass(frozen=True, slots=True)
 class Arith:
     op: str  # + - *
     left: object
     right: object
-
-    def __repr__(self):
-        return f"({self.left!r}{self.op}{self.right!r})"
 
 
 COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
@@ -372,23 +366,18 @@ def _binding_vars(lit):
 class LogicFragment:
     rules: tuple
     name: str = "frag"
-    # computed in __post_init__
-    local_preds: frozenset = field(default_factory=frozenset)
-    rule_defer_deps: dict = field(default_factory=dict)
-    max_child: int = 0
-    child_reads: tuple = ()  # the positions k of the @k literals, ascending
-    constrained: bool = False  # some rule is a hard constraint
 
     def __post_init__(self):
         self.rules = tuple(self.rules)
         self.local_preds = frozenset(
             r.head.pred for r in self.rules if r.head is not None
         )
+        # the positions k of the @k literals, ascending
         self.child_reads = tuple(
             sorted({lit.child for r in self.rules for lit in r.body if lit.child})
         )
         self.max_child = max(self.child_reads, default=0)
-        self.constrained = any(r.head is None for r in self.rules)
+        self.constrained = any(r.head is None for r in self.rules)  # has a hard constraint
         self._validate_safety()
         self._components = self._stratify()
         # pred -> child positions it depends on, transitively
@@ -519,21 +508,29 @@ class SatResult:
     deferred: tuple = ()
 
 
-class FactIndex(dict):
-    """Atoms as pred -> set(args), with a hash index per (pred, arity,
-    bound argument positions), each built at its first use."""
+class Model(frozenset):
+    """Atoms (pred, args) that index themselves at first read and keep the
+    indexes: ``get`` reads a predicate's set of argument tuples, as
+    ``dict.get`` of a pred -> set(args) mapping, and ``bucket`` the hash
+    index of spec = (pred, arity, positions), as ``_bucket``."""
 
-    __slots__ = ("indexes",)
+    __slots__ = ("_args", "_buckets")
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.indexes = {}
+    def __init__(self, atoms=()):
+        self._args, self._buckets = None, {}
+
+    def get(self, pred, default=()):
+        args = self._args
+        if args is None:
+            args = self._args = {}
+            for p, a in self:
+                args.setdefault(p, set()).add(a)
+        return args.get(pred, default)
 
     def bucket(self, spec):
-        """The index of spec = (pred, arity, positions), as ``_bucket``."""
-        idx = self.indexes.get(spec)
+        idx = self._buckets.get(spec)
         if idx is None:
-            idx = self.indexes[spec] = _bucket(self.get(spec[0], ()), spec, {})
+            idx = self._buckets[spec] = _bucket(self.get(spec[0]), spec, {})
         return idx
 
 
@@ -556,25 +553,7 @@ def _bucket(facts, spec, idx):
 def _store_index(facts, spec, background):
     """The index of spec over a local predicate's derived facts and the
     background's facts of it."""
-    idx = _bucket(facts, spec, {})
-    return _bucket(background[spec[0]], spec, idx) if spec[0] in background else idx
-
-
-class Model(frozenset):
-    """Atoms that keep their FactIndex once ``index_model`` has built it."""
-
-    __slots__ = ("index",)
-
-
-def index_model(model):
-    idx = getattr(model, "index", None)
-    if idx is None:
-        idx = FactIndex()
-        for pred, args in model:
-            idx.setdefault(pred, set()).add(args)
-        if isinstance(model, Model):
-            model.index = idx
-    return idx
+    return _bucket(background.get(spec[0]), spec, _bucket(facts, spec, {}))
 
 
 # The live rules of a fragment, for one set of unrealised read positions,
@@ -588,7 +567,7 @@ def index_model(model):
 # when ``atoms`` does not grow; the constraints come last.  The store is a
 # local set per local predicate and arity; a head is added to it and to
 # ``atoms`` inline, with the cap check.  An index is a local built at its
-# first read, through the FactIndex of a child or of the background, or
+# first read, through the ``Model`` of a child or of the background, or
 # from a local predicate's set and the background's facts of it: not at
 # all when both are empty, and a complete set with no background facts is
 # read as it is.  Three rules keep the generator sound:
@@ -681,7 +660,7 @@ class _JoinSource:
 
     def __init__(self, local_preds):
         self.local, self.sets, self.lazies, self.funcs = local_preds, {}, {}, []
-        self.ns = {"Tup": Tup, "E": {}, "ix": index_model, "index": _store_index,
+        self.ns = {"Tup": Tup, "E": {}, "index": _store_index,
                    "Overflow": GroundingOverflow}
         self.body, self.depth, self.shared, self.temps = [], 1, None, itertools.count()
         self.own = ()  # the predicates of the recursive group being emitted
@@ -778,15 +757,15 @@ class _JoinSource:
         no ``keyed`` positions, the list of its facts."""
         spec, tail = (lit.pred, len(lit.args), tuple(keyed)), "" if keyed else ".get((), ())"
         if lit.child or lit.pred not in self.local:
-            src = f"ix(models[{lit.child - 1}])" if lit.child else "bg"
+            src = f"models[{lit.child - 1}]" if lit.child else "bg"
             return self.lazy((src, spec), lambda: f"{src}.bucket({self.const(spec)}){tail}")
         facts, held = self.facts(lit.pred, len(lit.args)), self.const(lit.pred)
         if not keyed and lit.pred not in self.own:  # complete, so the set itself
             return self.lazy(("store", spec), lambda: (
-                f"index({facts}, {self.const(spec)}, bg){tail} if {held} in bg else {facts}"))
+                f"index({facts}, {self.const(spec)}, bg){tail} if bg.get({held}) else {facts}"))
         return self.lazy(("store", spec), lambda: (
             f"index({facts}, {self.const(spec)}, bg){tail} if {facts} or "
-            f"{held} in bg else {'E' if keyed else '()'}"))
+            f"bg.get({held}) else {'E' if keyed else '()'}"))
 
     def scan(self, lit, bound):
         """Loop over the facts that agree on the bound arguments of a
@@ -817,7 +796,7 @@ class _JoinSource:
         """A builtin or negated literal whose variables are bound; a value
         it reads that is undefined fails it."""
         if not lit.builtin:
-            args, src = self.values(lit.args), f"ix(models[{lit.child - 1}])" if lit.child else "bg"
+            args, src = self.values(lit.args), f"models[{lit.child - 1}]" if lit.child else "bg"
             held = self.lazy((src, lit.pred), lambda: f"{src}.get({self.const(lit.pred)}, ())")
             if lit.child or lit.pred not in self.local:
                 self.emit(f"if {args} in {held}: FAIL")
@@ -937,12 +916,17 @@ def evaluate_node(fragment, child_models, background, atom_cap=DEFAULT_ATOM_CAP)
     ``child_models`` holds the children's models left to right: a frozenset
     of atoms for a realised child (a terminal's is empty), or None for one
     not yet realised; positions past its end are not realised either.
-    ``background`` is a pred->set(args) index, visible in rule bodies but
-    not re-exported.  Rules that read an unrealised position are deferred.
+    ``background`` is a ``Model``, or a pred -> set(args) dict, visible in
+    rule bodies but not re-exported.  Rules that read an unrealised position
+    are deferred.  Plain frozensets and dicts are read as a ``Model``.
     """
     run, deferred = fragment._runnable(child_models)
-    if not isinstance(background, FactIndex):
-        background = FactIndex(background)
+    if background.__class__ is not Model:
+        background = Model([(p, a) for p, facts in background.items() for a in facts])
+    for m in child_models:
+        if m is not None and m.__class__ is not Model:
+            child_models = [None if m is None else Model(m) for m in child_models]
+            break
     atoms = run(background, child_models, atom_cap)
     if atoms.__class__ is str:
         return SatResult(UNSAT, violated=atoms)

@@ -139,8 +139,6 @@ class SearchTree:
     def __init__(self, grammar, token_map, prompt_ids, session=None):
         self.prompt_ids = tuple(prompt_ids)
         self.session = session or earley.Session()
-        # tokens that spell a whole terminal on their own -> that terminal
-        self.singles = {enc[0]: t for t, enc in token_map.canonical.items() if len(enc) == 1}
         self.root = SearchNode(Prefix.start(grammar, token_map, self.session))
 
 
@@ -251,19 +249,21 @@ def _leaf(node, reward, outcome):
     return node
 
 
-def _distance_ties(pool, prefix, fold, distance, singles, rng):
+def _distance_ties(pool, valid, fold, distance, rng):
     """Break policy ties by the task distance of the word each token leads
     to, so a flat policy descends the distance function instead of walking
-    blindly.  ``fold`` is the distance's state at ``prefix``.  Tokens whose
-    effect on the word is not immediate (EOS, mid-terminal subwords) score
-    as the unchanged word; remaining ties stay random."""
+    blindly.  ``valid`` is the mask the pool is drawn from, and ``fold`` the
+    distance's state where it stands.  A token scores as the word one
+    terminal longer when it completes a terminal, else (EOS, a token that
+    only continues a terminal) as the unchanged word; remaining ties stay
+    random."""
     if len(pool) == 1:
         return pool[0]
     here = None
     scored = []
     for tok in pool:
-        if tok != EOS_ID and prefix.cursor.at_boundary and tok in singles:
-            cost = abs(distance.value(distance.step(fold, singles[tok])))
+        if tok != EOS_ID and valid[tok] is not None:
+            cost = abs(distance.value(distance.step(fold, valid[tok])))
         else:
             if here is None:
                 here = abs(distance.value(fold))
@@ -280,8 +280,6 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
     """Greedy constrained continuation, computed once per node.  A step
     whose mask holds one id takes it without the policy; the distance's
     fold advances with every terminal the walk emits."""
-    if node.rollout is not None:
-        return node.rollout
     if not node.priors:  # dead end discovered at expansion
         return _leaf(node, reward, DEAD_END).rollout
     stats.rollouts += 1
@@ -294,7 +292,7 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
     # choice points for bounded backtracking: instead of scoring a dead-end
     # continuation, resume at the last step with untried tokens, from those
     # alone.  The hop cap bounds the total work per rollout.
-    frames = []  # (prefix, fold, untried ids)
+    frames = []  # (prefix, fold, the untried part of its mask)
     pending = None
     hops = 0
     while len(prefix.ids) < cfg.max_tokens and hops < cfg.max_tokens * 8:
@@ -331,16 +329,15 @@ def _rollout(tree, node, policy, reward, cfg, stats, rng):
             scores = [float(weights[a]) for a in order]
             top = max(scores) - 1e-12
             pool = [a for a, w in zip(order, scores) if w >= top]
-            tok = _distance_ties(pool, prefix, fold, distance, tree.singles, rng)
-            frames.append((prefix, fold, valid - {tok}))
+            tok = _distance_ties(pool, valid, fold, distance, rng)
+            frames.append((prefix, fold, {a: t for a, t in valid.items() if a != tok}))
         prior_step = False
-        before = len(prefix.terminals)
         prefix = prefix.push(tok)
-        if len(prefix.terminals) > before:
-            fold = distance.step(fold, prefix.terminals[-1])
         if tok == EOS_ID:
             outcome = COMPLETED
             break
+        if valid[tok] is not None:
+            fold = distance.step(fold, valid[tok])
     value = reward.value(fold, outcome == COMPLETED)
     if best_stop is not None and best_stop[0] > value:
         value, prefix = best_stop[0], best_stop[1].push(EOS_ID)

@@ -21,8 +21,9 @@ from asgdec import (
     parse_grammar,
     search,
 )
-from asgdec.decoding import COMPLETED
+from asgdec.decoding import COMPLETED, DEAD_END, Prefix
 from asgdec.mcts import SearchNode, backpropagate, select_child
+from asgdec.tasks.base import WordDistance
 
 from conftest import CountingPolicy, anbncn_member, copy_member
 
@@ -369,3 +370,44 @@ def test_a_new_child_is_masked_once(anbncn_grammar, monkeypatch):
                       SearchConfig(budget=1, max_tokens=12))
     assert stats.simulations > 8
     assert len(masked) == len(set(masked))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_child_with_an_empty_mask_closes_as_a_dead_end(seed):
+    # "a" is valid while d is unrealised, but no d exports q, so after "a"
+    # no terminal is valid: expansion finds the empty mask, the child's
+    # rollout closes it as a dead-end leaf, and the rollout from the root
+    # backtracks to "b"
+    tree, tmap = build_tree('start -> "a" d { :- not q@2. } | "b" {}\nd -> "x" {} | "y" {}')
+    result, stats = search(tree, UniformPolicy(tmap.vocab_size), Reward(rho=lambda w: 1),
+                           SearchConfig(budget=4, seed=seed))
+    child = tree.root.children[tmap.canonical["a"][0]]
+    assert child.exhausted and child.priors == {}
+    assert child.exact_value == -1 and child.rollout[1].outcome == DEAD_END
+    assert stats.rollouts == 1  # the root's; the dead end counts none
+    assert result.terminals == ("b",) and result.outcome == COMPLETED
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_rollout_that_dead_ends_with_no_frame_left(seed):
+    tree, tmap = build_tree('start -> "a" d { :- not q@2. }\nd -> "x" {} | "y" {}')
+    result, _ = search(tree, UniformPolicy(tmap.vocab_size), Reward(rho=lambda w: 1),
+                       SearchConfig(budget=4, seed=seed))
+    assert result.terminals == ("a",) and result.outcome == DEAD_END
+    assert result.reward == -1
+
+
+def test_distance_ties_score_a_token_by_the_terminal_it_completes():
+    # after "c" only "ab" is valid; the token "a" continues it, so its
+    # score is the word as it stands, although "a" alone is a terminal
+    g = parse_grammar('s -> "c" "ab" {} | "a" {}')
+    tok = SubwordTokenizer(["a", "b", "c"])
+    tmap = build_map(g.terminals, tok)
+    a, c = tok.encode("a")[0], tok.encode("c")[0]
+    prefix = Prefix.start(g, tmap, Session()).push(c)
+    assert prefix.mask() == {a: None}
+    words = []
+    distance = WordDistance(lambda w: words.append(w) or 0)
+    # one token twice: a tie whose scores are compared
+    mcts_mod._distance_ties([a, a], prefix.mask(), ("c",), distance, np.random.default_rng(0))
+    assert set(words) == {("c",)}
