@@ -231,7 +231,7 @@ class ParseState:
         self._root = root
         self._prev = prev
         self._chart = chart
-        self._succ = None  # terminal -> next state or _DEAD, made on the first store
+        self._succ = {}  # terminal -> next state or _DEAD
 
 
 def init(grammar, session=None, forest_cap=DEFAULT_FOREST_CAP):
@@ -353,14 +353,11 @@ def extend(state, terminal):
     """New state for prefix + terminal; raises InvalidExtension on failure."""
     index = state.index
     succ = state._succ
-    if succ is None:
-        succ = state._succ = {}
-    else:
-        cached = succ.get(terminal)
-        if cached is not None:
-            if cached is _DEAD:
-                raise InvalidExtension(terminal, index)
-            return cached
+    cached = succ.get(terminal)
+    if cached is not None:
+        if cached is _DEAD:
+            raise InvalidExtension(terminal, index)
+        return cached
     chart = state._chart
     link = chart.succ.get(terminal)
     if link is _DEAD:

@@ -14,8 +14,6 @@ from .base import (
     TaskInstance,
     TaskSpec,
     is_solved,
-    load_instance,
-    save_instances,
     score_run,
     validity,
 )
@@ -59,10 +57,8 @@ __all__ = [
     "checker_for",
     "generate_instances",
     "is_solved",
-    "load_instance",
     "reference_solution",
     "rho_for",
-    "save_instances",
     "score_run",
     "validity",
 ]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,19 +20,6 @@ class TaskInstance:
 
     def grammar(self):
         return parse_grammar(self.grammar_source)
-
-    def to_json(self, grammar_path):
-        return json.dumps(
-            {
-                "task": self.task,
-                "instance_id": self.instance_id,
-                "prompt": self.prompt,
-                "params": self.params,
-                "grammar_path": grammar_path,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 @dataclass(frozen=True)
@@ -96,35 +81,6 @@ class WordDistance(Distance):
 
     def over(self, word):
         return tuple(word)
-
-
-def save_instances(instances, directory):
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for inst in instances:
-        gpath = os.path.join(directory, f"{inst.instance_id}.asg")
-        with open(gpath, "w", encoding="utf-8") as fh:
-            fh.write(inst.grammar_source)
-        jpath = os.path.join(directory, f"{inst.instance_id}.json")
-        with open(jpath, "w", encoding="utf-8") as fh:
-            fh.write(inst.to_json(os.path.basename(gpath)))
-        paths.append(jpath)
-    return paths
-
-
-def load_instance(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    gpath = os.path.join(os.path.dirname(path), doc["grammar_path"])
-    with open(gpath, encoding="utf-8") as fh:
-        source = fh.read()
-    return TaskInstance(
-        task=doc["task"],
-        instance_id=doc["instance_id"],
-        prompt=doc.get("prompt", ""),
-        params=doc.get("params", {}),
-        grammar_source=source,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .base import Distance, TaskInstance, TaskSpec
 BLOCKS = ("red", "green", "blue")
 
 HANDEMPTY = ("handempty",)
+ALPHA = 0.01  # the distance's cost per action used
+UNREACHABLE_PENALTY = 100  # the distance's h where the goal is unreachable
 
 
 def _actions(blocks):
@@ -380,9 +382,8 @@ class BlocksDistance(Distance):
     terminal, the successors, the heuristic values and the values of
     states are memoised."""
 
-    def __init__(self, params, alpha=0.01, unreachable_penalty=100):
+    def __init__(self, params):
         self.init, self.goal = _params_sets(params)
-        self.alpha, self.unreachable_penalty = alpha, unreachable_penalty
         self._h = {}  # state -> h_add to the goal; 3 blocks reach at most 22 states
         self._next = {}  # (state, action) -> successor state, or None
         self._reads = {}  # (text, terminal) -> (settled parts, rest)
@@ -437,10 +438,9 @@ class BlocksDistance(Distance):
             try:
                 h = h_add(reached, self.goal)
             except UnreachableGoal:
-                h = self.unreachable_penalty
+                h = UNREACHABLE_PENALTY
             self._h[reached] = h
-        alpha = self.alpha
-        return max(h, 1) * 1.0 + alpha * used if h == 0 else h + alpha * used
+        return max(h, 1) + ALPHA * used
 
 
 blocks_rho = BlocksDistance

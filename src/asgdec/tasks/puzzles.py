@@ -339,26 +339,14 @@ def coloring_entries(text):
     ]
 
 
-# Every prefix of an entry, its digits written as 0: text that is one,
-# with its digits so written, may still begin an entry.
-_ENTRY_PREFIXES = frozenset(
-    entry[:k]
-    for ci, cj in itertools.product(COLORS, repeat=2)
-    for entry in [f"(0:{ci},0:{cj})"]
-    for k in range(len(entry))
-)
-_LONGEST_ENTRY = max(map(len, _ENTRY_PREFIXES)) + 1
-
-
 class ColoringDistance(Distance):
     """Distance e - e_w: e_w counts edges that are present, consistently
     colored with the first assignment of each node, and bi-colored.
 
-    The text is matched as ``coloring_entries`` matches it, an entry at a
-    time: a state is (the text from where the next entry may begin, the
-    first color of each node 0-9, the edges listed so far as bits, e_w).
-    The text is matched only once it holds a ")", which ends every entry,
-    or outgrows one."""
+    An entry holds one ")" and ends there, so the entries of a text are the
+    ``coloring_entries`` of its pieces cut after each ")": a state is (the
+    text since the last ")", the first color of each node 0-9, the edges
+    listed so far as bits, e_w)."""
 
     def __init__(self, params):
         edges = [tuple(e) for e in params["edges"]]
@@ -370,27 +358,17 @@ class ColoringDistance(Distance):
 
     def step(self, state, terminal):
         text, assign, listed, good = state
-        text += terminal
-        if ")" not in terminal and len(text) <= _LONGEST_ENTRY:
-            return text, assign, listed, good
-        while text:
-            m = _ENTRY.match(text)
-            if m is None:
-                if "".join("0" if c.isdecimal() else c for c in text) in _ENTRY_PREFIXES:
-                    break
-                k = text.find("(", 1)
-                text = text[k:] if k > 0 else ""
-                continue
-            i, ci, j, cj = int(m[1]), m[2], int(m[3]), m[4]
-            if assign[i] is None:
-                assign = assign[:i] + (ci,) + assign[i + 1:]
-            if assign[j] is None:
-                assign = assign[:j] + (cj,) + assign[j + 1:]
-            bit = self.bit.get((i, j), 0)
-            if bit and not listed & bit:
-                listed |= bit
-                good += ci != cj and assign[i] == ci and assign[j] == cj
-            text = text[m.end():]
+        *pieces, text = (text + terminal).split(")")
+        for piece in pieces:
+            for i, ci, j, cj in coloring_entries(piece + ")"):
+                if assign[i] is None:
+                    assign = assign[:i] + (ci,) + assign[i + 1:]
+                if assign[j] is None:
+                    assign = assign[:j] + (cj,) + assign[j + 1:]
+                bit = self.bit.get((i, j), 0)
+                if bit and not listed & bit:
+                    listed |= bit
+                    good += ci != cj and assign[i] == ci and assign[j] == cj
         return text, assign, listed, good
 
     def value(self, state):

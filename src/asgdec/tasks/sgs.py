@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .base import Distance, TaskInstance, TaskSpec, WordDistance
+from .base import TaskInstance, TaskSpec, WordDistance
 
 ANBNCN_GRAMMAR = """\
 % L = { a^n b^n c^n : n >= 1 }, generated on a single counting spine.
@@ -94,75 +94,27 @@ seq -> seq "a" { letter(I,C) :- letter(I,C)@1. n(N+1) :- n(N)@1. letter(N+1,la) 
 """
 
 
-class AnbncnDistance(Distance):
+def anbncn_rho(target_n):
     """The count distance |n - #a| over the "a" terminals, with zero
-    reserved for exact solutions: a state is (the "a" terminals so far,
-    the characters of a^n b^n c^n the text matches, or None once it
-    strays)."""
+    reserved for exact solutions."""
 
-    def __init__(self, target_n):
-        self.n = target_n
-        self.solved = "a" * target_n + "b" * target_n + "c" * target_n
+    def rho(word):
+        base = abs(target_n - word.count("a"))
+        return 1 if base == 0 and not anbncn_check(target_n, word) else base
 
-    def start(self):
-        return 0, 0
-
-    def step(self, state, terminal):
-        count, pos = state
-        if pos is not None:
-            pos = pos + len(terminal) if self.solved.startswith(terminal, pos) else None
-        return count + (terminal == "a"), pos
-
-    def value(self, state):
-        count, pos = state
-        base = abs(self.n - count)
-        if base == 0 and pos != len(self.solved):
-            return 1
-        return base
+    return WordDistance(rho)
 
 
-anbncn_rho = AnbncnDistance
-
-
-class AmbncmdnDistance(Distance):
+def ambncmdn_rho(target_m, target_n):
     """The count distance |m + n - #a - #b| over the "a" and "b" terminals,
-    with zero reserved for solutions (see ``ambncmdn_check``): a state is
-    (those terminals so far, and the text's runs of a, b, c and d as
-    counts, or None once the text is not of the form a*b*c*d*)."""
+    with zero reserved for solutions (see ``ambncmdn_check``)."""
+    params = {"m": target_m, "n": target_n}
 
-    def __init__(self, target_m, target_n):
-        self.total = target_m + target_n
+    def rho(word):
+        base = abs(target_m + target_n - word.count("a") - word.count("b"))
+        return 1 if base == 0 and not ambncmdn_check(params, word) else base
 
-    def start(self):
-        return 0, (0, 0, 0, 0)
-
-    def step(self, state, terminal):
-        count, runs = state
-        for ch in terminal:
-            if runs is None:
-                break
-            k = "abcd".find(ch)
-            if k < 0 or any(runs[k + 1:]):
-                runs = None
-            else:
-                runs = runs[:k] + (runs[k] + 1,) + runs[k + 1:]
-        return count + (terminal in ("a", "b")), runs
-
-    def value(self, state):
-        count, runs = state
-        base = abs(self.total - count)
-        if base == 0 and not self._solved(runs):
-            return 1
-        return base
-
-    def _solved(self, runs):
-        if runs is None:
-            return False
-        p, q, r, s = runs
-        return 1 <= p and 1 <= q and p != q and p + q == self.total and (p, q) == (r, s)
-
-
-ambncmdn_rho = AmbncmdnDistance
+    return WordDistance(rho)
 
 
 def copy_rho(params):

@@ -91,7 +91,7 @@ def test_run_rejects_unknown_task(capsys):
     assert "unknown task" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--budget", "--max-tokens", "--count"])
+@pytest.mark.parametrize("flag", ["--budget", "--max-tokens", "--count", "--workers"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_run_rejects_a_budget_or_token_limit_below_one(flag, value, capsys):
     assert main(["run", "--task", "anbncn", "--count", "1", "--workers", "1", flag, value]) == 2

@@ -10,10 +10,8 @@ from asgdec.tasks import (
     TASKS,
     checker_for,
     generate_instances,
-    load_instance,
     reference_solution,
     rho_for,
-    save_instances,
     score_run,
 )
 from asgdec.tasks import blocks, jsontask, puzzles, sgs
@@ -93,16 +91,6 @@ def test_score_run_does_not_count_malformed_words():
     ]
     rep = score_run(inst.grammar(), results, rho_for(inst))
     assert rep.accuracy == pytest.approx(1 / 2)
-
-
-def test_save_load_round_trip(tmp_path):
-    insts = generate_instances("anbncn", 2, seed=0)
-    paths = save_instances(insts, str(tmp_path))
-    loaded = [load_instance(p) for p in paths]
-    assert [i.params for i in loaded] == [i.params for i in insts]
-    assert [i.grammar_source for i in loaded] == [
-        i.grammar_source for i in insts
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +492,12 @@ def test_distance_fold_matches_its_whole_word_reference(task):
         if task == "graph3color":  # entries split across junk and merged terminals
             pieces = list("(1234:,)x") + ["red", "green", "blue", "(1:red,2:green)"]
             words += [tuple(rng.choice(pieces) for _ in range(rng.randrange(40))) for _ in range(150)]
+            words += [
+                ("(1:red,2:", ")") + solved,  # a malformed entry closed just before a good one
+                ("(",) + solved,  # a stray "(" in the first entry's ")" piece
+                tuple(t for t in solved if t != ")"),  # no ")" at all
+                solved[:-1],  # the reference word without its last ")"
+            ]
         for word in words:
             assert_fold_matches(rho, ref, word)
 
